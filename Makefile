@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race chaos fuzz-smoke bench-smoke bench-json cover-chipcheck verify
+.PHONY: build test vet fmt perfbench race chaos fuzz-smoke bench-smoke bench-json cover-chipcheck verify
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,17 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Formatting gate: gofmt -l names every file whose layout differs from
+# gofmt's, so any output fails.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# perfbench is its own Go module, so the root build and test never
+# compile it; vet and test it here so an internal API change cannot
+# break the benchmark unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detector pass over the whole module: the serving layer is
 # concurrent end to end (pool, admission, cache, flights, quarantine,
@@ -69,5 +80,5 @@ bench-json:
 		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch' \
 		-benchtime 10x -count=1 | $(GO) run ./cmd/benchjson -next .
 
-verify: build vet test race chaos fuzz-smoke bench-smoke cover-chipcheck
+verify: fmt build vet test perfbench race chaos fuzz-smoke bench-smoke cover-chipcheck
 	@echo "verify: all gates passed"

@@ -41,7 +41,7 @@ func FuzzJournalDecode(f *testing.F) {
 		Params: params, ParamsSum: paramsSum(params),
 		Deadline:  time.Minute,
 		Submitted: time.Unix(1754000001, 0).UTC(), Status: StatusQueued,
-		Chunks:    70, Bitmap: make([]uint64, 2), ChunkData: make([][]byte, 70),
+		Chunks: 70, Bitmap: make([]uint64, 2), ChunkData: make([][]byte, 70),
 	}
 	bitSet(partial.Bitmap, 0)
 	partial.ChunkData[0] = bytes.Repeat([]byte{0x42}, 128)
@@ -50,8 +50,8 @@ func FuzzJournalDecode(f *testing.F) {
 		ID: "jfuzz2", Type: TypeCoupling, Lane: LaneBulk,
 		Params: params, ParamsSum: paramsSum(params),
 		Submitted: time.Unix(1754000002, 0).UTC(), Status: StatusFailed,
-		ErrMsg:    "deadline 1m0s exceeded",
-		Chunks:    1, Bitmap: make([]uint64, 1), ChunkData: make([][]byte, 1),
+		ErrMsg: "deadline 1m0s exceeded",
+		Chunks: 1, Bitmap: make([]uint64, 1), ChunkData: make([][]byte, 1),
 	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

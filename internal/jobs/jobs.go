@@ -148,12 +148,12 @@ var (
 // View is the externally visible state of one job — the GET /v1/jobs/{id}
 // body and the submit acknowledgement.
 type View struct {
-	ID       string `json:"id"`
-	Type     string `json:"type"`
-	Lane     Lane   `json:"lane"`
-	Status   Status `json:"status"`
-	Chunks   int    `json:"chunks"`
-	Done     int    `json:"chunksDone"`
+	ID       string  `json:"id"`
+	Type     string  `json:"type"`
+	Lane     Lane    `json:"lane"`
+	Status   Status  `json:"status"`
+	Chunks   int     `json:"chunks"`
+	Done     int     `json:"chunksDone"`
 	Progress float64 `json:"progress"`
 	// Resumed reports that some of this job's completed chunks were
 	// restored from its journal by a manager restart rather than

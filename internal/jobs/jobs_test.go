@@ -222,13 +222,13 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: TypeSweep, Lane: "urgent", Sweep: &SweepParams{Level: 4}},
 		{Type: TypeSweep, Deadline: "yesterday", Sweep: &SweepParams{Level: 4}},
 		{Type: TypeSweep, Sweep: &SweepParams{Level: 4, Axis: "sideways"}},
-		{Type: TypeSweep, Sweep: &SweepParams{Level: 4, Axis: "j0"}},                        // j0 needs values
-		{Type: TypeSweep, Sweep: &SweepParams{Level: 4, Values: []float64{0.5, -1}}},       // bad grid value
-		{Type: TypeSweep, Sweep: &SweepParams{Level: 99}},                                  // no such level
-		{Type: TypeMonteCarlo, MonteCarlo: &MonteCarloParams{Samples: mcMaxSamples + 1}},   // over cap
-		{Type: TypeMonteCarlo, MonteCarlo: &MonteCarloParams{WidthSigma: 0.9}},             // spread too wide
-		{Type: TypeCoupling, Coupling: &CouplingParams{}},                                  // pitches required
-		{Type: TypeCoupling, Coupling: &CouplingParams{PitchesUm: []float64{0.1}}},         // pitch < width
+		{Type: TypeSweep, Sweep: &SweepParams{Level: 4, Axis: "j0"}},                     // j0 needs values
+		{Type: TypeSweep, Sweep: &SweepParams{Level: 4, Values: []float64{0.5, -1}}},     // bad grid value
+		{Type: TypeSweep, Sweep: &SweepParams{Level: 99}},                                // no such level
+		{Type: TypeMonteCarlo, MonteCarlo: &MonteCarloParams{Samples: mcMaxSamples + 1}}, // over cap
+		{Type: TypeMonteCarlo, MonteCarlo: &MonteCarloParams{WidthSigma: 0.9}},           // spread too wide
+		{Type: TypeCoupling, Coupling: &CouplingParams{}},                                // pitches required
+		{Type: TypeCoupling, Coupling: &CouplingParams{PitchesUm: []float64{0.1}}},       // pitch < width
 	}
 	for i, req := range cases {
 		if _, err := m.Submit(req); !errors.Is(err, ErrInvalid) && !errors.Is(err, ErrUnknownType) {

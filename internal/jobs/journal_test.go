@@ -86,15 +86,15 @@ func TestJournalDecodeRejectsCorruption(t *testing.T) {
 // the journal invariants must be rejected, not trusted.
 func TestJournalConsistencyChecks(t *testing.T) {
 	mutations := map[string]func(*journalFile){
-		"missing id":       func(jf *journalFile) { jf.ID = "" },
-		"missing type":     func(jf *journalFile) { jf.Type = "" },
-		"negative chunks":  func(jf *journalFile) { jf.Chunks = -1 },
-		"absurd chunks":    func(jf *journalFile) { jf.Chunks = 1 << 21 },
-		"bitmap sizing":    func(jf *journalFile) { jf.Bitmap = make([]uint64, 9) },
-		"blob count":       func(jf *journalFile) { jf.ChunkData = jf.ChunkData[:2] },
+		"missing id":        func(jf *journalFile) { jf.ID = "" },
+		"missing type":      func(jf *journalFile) { jf.Type = "" },
+		"negative chunks":   func(jf *journalFile) { jf.Chunks = -1 },
+		"absurd chunks":     func(jf *journalFile) { jf.Chunks = 1 << 21 },
+		"bitmap sizing":     func(jf *journalFile) { jf.Bitmap = make([]uint64, 9) },
+		"blob count":        func(jf *journalFile) { jf.ChunkData = jf.ChunkData[:2] },
 		"bit/blob mismatch": func(jf *journalFile) { jf.ChunkData[1] = []byte("uncounted") },
-		"params hash":      func(jf *journalFile) { jf.Params = []byte(`{"level":5,"points":40}`) },
-		"bogus status":     func(jf *journalFile) { jf.Status = "paused" },
+		"params hash":       func(jf *journalFile) { jf.Params = []byte(`{"level":5,"points":40}`) },
+		"bogus status":      func(jf *journalFile) { jf.Status = "paused" },
 	}
 	for name, mutate := range mutations {
 		jf := testJournal()

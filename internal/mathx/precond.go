@@ -158,9 +158,6 @@ func NewIC0(a *CSR) (*IC0, error) {
 	// Record the strictly-lower pattern (columns ascending) row by row;
 	// Refactor fills in the values.
 	for i := 0; i < n; i++ {
-		if i&0x3fff == 0x3fff {
-			kernelYield()
-		}
 		f.rowPtr[i] = len(f.colIdx)
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			if j := a.ColIdx[k]; j < i {
@@ -188,9 +185,6 @@ func (f *IC0) Refactor(a *CSR) error {
 	// Restamp the strictly-lower values and the diagonal from a.
 	p := 0
 	for i := 0; i < f.n; i++ {
-		if i&0x3fff == 0x3fff {
-			kernelYield()
-		}
 		f.diagA[i] = 0
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			if j := a.ColIdx[k]; j < i {
@@ -207,9 +201,6 @@ func (f *IC0) Refactor(a *CSR) error {
 	// Row-oriented factorization. FDM stencils have ≤ 2 strictly-lower
 	// entries per row, so the sparse row intersections below are tiny.
 	for i := 0; i < f.n; i++ {
-		if i&0x3fff == 0x3fff {
-			kernelYield()
-		}
 		// l_ij = (a_ij − Σ_{k<j} l_ik·l_jk) / l_jj for each stored j < i.
 		for p := f.rowPtr[i]; p < f.rowPtr[i+1]; p++ {
 			j := f.colIdx[p]
@@ -249,9 +240,6 @@ func (f *IC0) Apply(r, z []float64) {
 	n := f.n
 	// Forward: L·y = r (y in z).
 	for i := 0; i < n; i++ {
-		if i&0x7fff == 0x7fff {
-			kernelYield()
-		}
 		s := r[i]
 		for p := f.rowPtr[i]; p < f.rowPtr[i+1]; p++ {
 			s -= f.val[p] * z[f.colIdx[p]]
@@ -260,9 +248,6 @@ func (f *IC0) Apply(r, z []float64) {
 	}
 	// Backward: Lᵀ·z = y, column-oriented over L's rows.
 	for i := n - 1; i >= 0; i-- {
-		if i&0x7fff == 0x7fff {
-			kernelYield()
-		}
 		z[i] /= f.diag[i]
 		zi := z[i]
 		for p := f.rowPtr[i]; p < f.rowPtr[i+1]; p++ {

@@ -29,12 +29,12 @@ func FuzzParseDesign(f *testing.F) {
 		]
 	}`))
 	f.Add([]byte(`{"node":"0.10","segments":[{"net":"a","name":"b","level":1,"widthMultiple":1,"lengthUm":10,"waveform":{"kind":"unipolar","peakMA":0.5,"dutyCycle":0.5}}]}`))
-	f.Add([]byte(`{"node":"1.21"}`))                       // unknown node parses; Tech() rejects
-	f.Add([]byte(`{"unknownField":true,"segments":[]}`))   // strict decode rejects
-	f.Add([]byte(`{"node":"0.25","segments":[{}]}`))       // empty segment
-	f.Add([]byte(`{"j0MA":-1e308,"segments":null}`))       // extreme numbers
-	f.Add([]byte(`[1,2,3]`))                               // wrong top-level shape
-	f.Add([]byte(``))                                      // empty input
+	f.Add([]byte(`{"node":"1.21"}`))                        // unknown node parses; Tech() rejects
+	f.Add([]byte(`{"unknownField":true,"segments":[]}`))    // strict decode rejects
+	f.Add([]byte(`{"node":"0.25","segments":[{}]}`))        // empty segment
+	f.Add([]byte(`{"j0MA":-1e308,"segments":null}`))        // extreme numbers
+	f.Add([]byte(`[1,2,3]`))                                // wrong top-level shape
+	f.Add([]byte(``))                                       // empty input
 	f.Add([]byte(`{"node":"0.25","segments":[]} trailing`)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {

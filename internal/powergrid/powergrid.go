@@ -341,9 +341,6 @@ func (g *Grid) NewNodal(loads []Load) (*Nodal, error) {
 	nd.length = make([]float64, len(nd.branches))
 	nd.area = make([]float64, len(nd.branches))
 	for bi := range nd.branches {
-		if bi&0x7fff == 0x7fff {
-			mathx.Yield()
-		}
 		nd.level[bi], nd.length[bi], nd.area[bi] = g.branchGeometry(&nd.branches[bi])
 	}
 	// Loads: current drawn out of the node (drop formulation: I enters
@@ -363,9 +360,6 @@ func (g *Grid) NewNodal(loads []Load) (*Nodal, error) {
 	for j := 0; j < g.Ny; j++ {
 		for i := 0; i < g.Nx; i++ {
 			idx := j*g.Nx + i
-			if idx&0x7fff == 0x7fff {
-				mathx.Yield()
-			}
 			if nd.isPad[idx] {
 				cols = append(cols, idx)
 				a.RowPtr[idx+1] = len(cols)
@@ -392,9 +386,6 @@ func (g *Grid) NewNodal(loads []Load) (*Nodal, error) {
 	nd.a = a
 	nd.slots = make([][4]int, len(nd.branches))
 	for bi := range nd.branches {
-		if bi&0x7fff == 0x7fff {
-			mathx.Yield()
-		}
 		b := &nd.branches[bi]
 		f, t := g.nodeIndex(b.From), g.nodeIndex(b.To)
 		s := [4]int{-1, -1, -1, -1}
@@ -462,9 +453,6 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 		a.Val[i] = 0
 	}
 	for bi := range nd.branches {
-		if bi&0x7fff == 0x7fff {
-			mathx.Yield()
-		}
 		rho := g.Tech.Metal.Resistivity(temps[bi])
 		gcond := nd.area[bi] / (rho * nd.length[bi])
 		conds[bi] = gcond
@@ -557,9 +545,6 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 		}
 	}
 	for bi := range nd.branches {
-		if bi&0x7fff == 0x7fff {
-			mathx.Yield()
-		}
 		b := nd.branches[bi]
 		f, t := g.nodeIndex(b.From), g.nodeIndex(b.To)
 		// Current flows from lower drop to higher drop within the drop

@@ -47,21 +47,28 @@ func TestChipcheckEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, tc := range []struct {
 		name, body string
+		status     int
+		code       string
 	}{
-		{"malformed json", `{"nx":12,`},
-		{"unknown field", `{"nx":12,"ny":12,"padRing":true,"bogus":1}`},
-		{"bad grid", `{"nx":0,"ny":12,"padRing":true}`},
-		{"no pads", `{"nx":12,"ny":12}`},
-		{"nan pitch", `{"nx":12,"ny":12,"padRing":true,"pitchXUm":-1}`},
-		{"bad tech", `{"node":"0.18","nx":12,"ny":12,"padRing":true}`},
+		{"malformed json", `{"nx":12,`, http.StatusBadRequest, "invalid_request"},
+		{"unknown field", `{"nx":12,"ny":12,"padRing":true,"bogus":1}`, http.StatusBadRequest, "invalid_request"},
+		{"bad grid", `{"nx":0,"ny":12,"padRing":true}`, http.StatusBadRequest, "invalid_request"},
+		{"no pads", `{"nx":12,"ny":12}`, http.StatusBadRequest, "invalid_request"},
+		{"nan pitch", `{"nx":12,"ny":12,"padRing":true,"pitchXUm":-1}`, http.StatusBadRequest, "invalid_request"},
+		{"bad tech", `{"node":"0.18","nx":12,"ny":12,"padRing":true}`, http.StatusBadRequest, "invalid_request"},
+		// A near-zero load overflows most segments' lifetime ratio to
+		// +Inf, which JSON cannot carry: the reply must be a structured
+		// 422, not a 200 with an empty body.
+		{"non-finite reply", `{"nx":12,"ny":12,"padRing":true,"loads":[{"i":5,"j":5,"amps":1e-155}]}`,
+			http.StatusUnprocessableEntity, "numeric_failure"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			status, body := postJSON(t, ts.URL+"/v1/chipcheck", tc.body)
-			if status != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400: %s", status, body)
+			if status != tc.status {
+				t.Fatalf("status %d, want %d: %q", status, tc.status, body)
 			}
-			if code := errorCode(t, body); code != "invalid_request" {
-				t.Fatalf("code %q, want invalid_request", code)
+			if code := errorCode(t, body); code != tc.code {
+				t.Fatalf("code %q, want %s", code, tc.code)
 			}
 		})
 	}

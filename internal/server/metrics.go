@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -377,10 +378,17 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// writeJSON renders v as indented JSON. The body is encoded before the
+// status goes out, so a value the encoder rejects (a ±Inf or NaN field)
+// is answered as a 422 numeric_failure rather than an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, fmt.Errorf("%w: encode response: %v", mathx.ErrNumeric, err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(append(body, '\n'))
 }

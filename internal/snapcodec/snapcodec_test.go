@@ -26,11 +26,11 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestUnframeRejectsCorruption(t *testing.T) {
 	good := Frame(testMagic, 1, []byte("hello snapshot"))
 	cases := map[string][]byte{
-		"empty":       {},
-		"short":       good[:HeaderLen-1],
-		"bad magic":   append([]byte("WRONGMAG"), good[8:]...),
-		"truncated":   good[:len(good)-3],
-		"extended":    append(append([]byte(nil), good...), 0xFF),
+		"empty":     {},
+		"short":     good[:HeaderLen-1],
+		"bad magic": append([]byte("WRONGMAG"), good[8:]...),
+		"truncated": good[:len(good)-3],
+		"extended":  append(append([]byte(nil), good...), 0xFF),
 		"payload flip": func() []byte {
 			b := append([]byte(nil), good...)
 			b[len(b)-1] ^= 0x40
