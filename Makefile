@@ -40,7 +40,7 @@ chaos:
 		-run 'TestChaos|TestPoolTaskPanic|TestFlightLeaderPanic|TestHandlerPanic|TestQuarantine|TestBreaker|TestFailureClass|TestSnapshot|TestQueueWaitClamp|TestAdmissionWaitClamped|TestReadyz|TestJobs'
 	$(GO) test -race -count=1 ./internal/jobs/...
 	$(GO) test -race -count=1 ./internal/fdm ./internal/powergrid ./internal/mathx \
-		-run 'TestSolverLadder|TestSheetLadder|TestIRDropFallback|TestLadderExhaustion|TestCG'
+		-run 'TestSolverLadder|TestSheetLadder|TestIRDropFallback|TestLadder|TestCG'
 
 # Short fuzz smokes: enough to catch a freshly introduced panic or
 # key-encoder collision without turning CI into a fuzz farm.

@@ -333,3 +333,34 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatalf("NumBranches = %d", c.NumBranches())
 	}
 }
+
+// TestNearIdleSegmentsAreIdle: a current too small for Black's law to
+// bound in float64 (its lifetime ratio overflows to +Inf) is idle, with
+// a zero ratio, exactly like a zero current — so the report stays
+// finite and the chip passes.
+func TestNearIdleSegmentsAreIdle(t *testing.T) {
+	c, f := solveFixture(t, Params{Nx: 12, Ny: 12, PadRing: true, Loads: []LoadSpec{{I: 5, J: 5, Amps: 1e-155}}})
+	verdicts, err := c.Verdicts(f, 0, c.NumBranches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonzero := 0
+	for _, v := range verdicts {
+		if v.Code != CodeIdle || v.Ratio != 0 {
+			t.Fatalf("branch %d: code %q ratio %g, want idle with ratio 0", v.Branch, v.Code, v.Ratio)
+		}
+		if v.JMA != 0 {
+			nonzero++
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("fixture must carry nonzero currents for the overflow path")
+	}
+	r, err := c.Report(f, verdicts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Summary.Idle != r.Summary.Branches || !r.Summary.OK {
+		t.Fatalf("summary %+v, want all idle and OK", r.Summary)
+	}
+}

@@ -2,6 +2,7 @@ package chipcheck
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -12,7 +13,7 @@ import (
 
 // Verdict codes.
 const (
-	CodeIdle     = "idle"     // no current: EM cannot act
+	CodeIdle     = "idle"     // no current, or one too small to bound: EM cannot act
 	CodeImmortal = "immortal" // below the Blech product: immune
 	CodePass     = "pass"     // lifetime ratio ≥ 1 at local temperature
 	CodeFail     = "fail"     // lifetime ratio < 1
@@ -76,6 +77,13 @@ func (c *Check) Verdicts(f *Field, lo, hi int) ([]Verdict, error) {
 				firstErr = err
 			}
 			errMu.Unlock()
+			return
+		}
+		if math.IsInf(ratio, 1) {
+			// A current too small for Black's law to bound in float64:
+			// EM cannot act on it, so it is idle like a zero current.
+			v.Code = CodeIdle
+			out[k] = v
 			return
 		}
 		v.Ratio = ratio

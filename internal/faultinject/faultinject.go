@@ -73,11 +73,13 @@ const (
 	// simulates a write failure (ENOSPC, dead disk): the manager
 	// degrades checkpointing to in-memory and re-probes periodically.
 	SiteJobsJournalWrite = "jobs.journal.write"
-	// SiteMathxSolve fires at the top of a numeric solve's primary path
-	// (the banded-Cholesky direct solve in fdm, the IC(0) CG in
-	// powergrid). An error hook makes the primary path report failure so
-	// tests can walk the fallback ladder (direct → IC(0) CG → Jacobi CG)
-	// on systems that would otherwise solve cleanly.
+	// SiteMathxSolve fires at the top of every mathx.SPD ladder solve
+	// (fdm steady, sheet and transient solves; the power-grid IR drop),
+	// with a background context. An error hook skips the ladder's
+	// primary rung — the banded-Cholesky direct solve when the ladder
+	// has one, IC(0) CG otherwise — so tests can walk the fallback
+	// ladder (direct → IC(0) CG → Jacobi CG) on systems that would
+	// otherwise solve cleanly.
 	SiteMathxSolve = "mathx.solve.numeric"
 )
 

@@ -11,10 +11,11 @@ import (
 	"dsmtherm/internal/phys"
 )
 
-// The fallback-ladder tests: an injected primary-path failure at
-// faultinject.SiteMathxSolve must walk the solve down to the CG rungs,
-// produce an answer agreeing with the direct path, and count every step
-// in the mathx numeric stats.
+// The fallback-ladder tests: an injected primary-rung failure at
+// faultinject.SiteMathxSolve must walk each fdm solve (steady, sheet and
+// transient) down to the mathx.SPD CG rungs, produce an answer agreeing
+// with the direct path, and count every step in the mathx numeric
+// stats.
 
 func TestSolverLadderFallbackMatchesDirect(t *testing.T) {
 	ar := slabArray(t)
@@ -70,6 +71,7 @@ func TestSheetLadderFallbackMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := mathx.NumericStats()
 	cancel := faultinject.Set(faultinject.SiteMathxSolve, func(context.Context) error {
 		return errors.New("injected primary-path failure")
 	})
@@ -78,9 +80,45 @@ func TestSheetLadderFallbackMatchesDirect(t *testing.T) {
 	if err := s.Solve(power, ladder); err != nil {
 		t.Fatalf("ladder solve: %v", err)
 	}
+	if after := mathx.NumericStats(); after.FallbackSolves <= before.FallbackSolves {
+		t.Fatalf("FallbackSolves %d -> %d, want increase", before.FallbackSolves, after.FallbackSolves)
+	}
 	for i := range direct {
 		if math.Abs(direct[i]-ladder[i]) > 1e-6*(1+math.Abs(direct[i])) {
 			t.Fatalf("cell %d: direct %g, ladder %g", i, direct[i], ladder[i])
+		}
+	}
+}
+
+// TestSolverLadderPulseFallback: every backward-Euler step of SolvePulse
+// goes through the ladder too, so an injected direct-rung failure walks
+// each step down to warm-started IC(0) CG with the same trajectory.
+func TestSolverLadderPulseFallback(t *testing.T) {
+	s := esdLineArray(t)
+	ref := LineRef{Level: 1, Index: 0}
+	powers := map[LineRef]float64{ref: 10}
+	direct, err := s.SolvePulse(powers, 1e-6, 3e-6, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := mathx.NumericStats()
+	cancel := faultinject.Set(faultinject.SiteMathxSolve, func(context.Context) error {
+		return errors.New("injected primary-path failure")
+	})
+	defer cancel()
+	ladder, err := s.SolvePulse(powers, 1e-6, 3e-6, 30)
+	if err != nil {
+		t.Fatalf("ladder pulse: %v", err)
+	}
+	after := mathx.NumericStats()
+	if after.FallbackSolves <= before.FallbackSolves {
+		t.Fatalf("FallbackSolves %d -> %d, want increase", before.FallbackSolves, after.FallbackSolves)
+	}
+	d, l := direct.LineDT[ref], ladder.LineDT[ref]
+	for k := range d {
+		if math.Abs(d[k]-l[k]) > 1e-6*(1+math.Abs(d[k])) {
+			t.Fatalf("step %d: direct ΔT %g, ladder %g", k, d[k], l[k])
 		}
 	}
 }
@@ -108,31 +146,5 @@ func TestSheetSolveAliasedArgs(t *testing.T) {
 		if buf[i] != want[i] {
 			t.Fatalf("cell %d: aliased %g, separate %g", i, buf[i], want[i])
 		}
-	}
-}
-
-// TestLadderExhaustionIsStructured: when every rung fails, the caller
-// gets mathx.ErrNumeric with a diagnosis, not a bare string — driven
-// directly on a ladder fed an unsolvable (singular) system.
-func TestLadderExhaustionIsStructured(t *testing.T) {
-	n := 8
-	co := mathx.NewCoord(n)
-	for i := 0; i < n; i++ {
-		co.Add(i, i, 0)
-	}
-	a := co.ToCSR()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	x := make([]float64, n)
-	before := mathx.NumericStats()
-	err := solveLadder("singular test", a, nil, nil, b, x, 1e-12, 2000)
-	if !errors.Is(err, mathx.ErrNumeric) {
-		t.Fatalf("err = %v, want ErrNumeric", err)
-	}
-	after := mathx.NumericStats()
-	if after.NumericFailures <= before.NumericFailures {
-		t.Fatalf("NumericFailures %d -> %d, want increase", before.NumericFailures, after.NumericFailures)
 	}
 }

@@ -197,31 +197,3 @@ func TestSolveBatchValidation(t *testing.T) {
 		t.Fatal("negative power must fail")
 	}
 }
-
-// TestSolverPrecondVariantsAgree: the three preconditioner choices land on
-// the same physics (within solver tolerance) for the same array.
-func TestSolverPrecondVariantsAgree(t *testing.T) {
-	ar := batchTestArray(t)
-	ref := LineRef{Level: 2, Index: 1}
-	var vals []float64
-	for _, pc := range []mathx.Precond{mathx.PrecondJacobi, mathx.PrecondSSOR, mathx.PrecondIC0} {
-		s, err := NewSolverPrecond(ar, DefaultResolution(ar), pc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := s.Solve(map[LineRef]float64{ref: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dt, err := f.LineDeltaT(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals = append(vals, dt)
-	}
-	for i := 1; i < len(vals); i++ {
-		if math.Abs(vals[i]-vals[0]) > 1e-7*math.Abs(vals[0]) {
-			t.Errorf("preconditioner variants disagree: %v", vals)
-		}
-	}
-}

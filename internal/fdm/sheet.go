@@ -15,14 +15,12 @@ import (
 // the chip-level electrothermal loop: the conduction matrix is
 // temperature-independent, so it is assembled and factored once (banded
 // Cholesky under the same entry budget as the cross-section Solver,
-// preconditioned CG otherwise) and every Joule-power distribution costs
-// two O(n·bw) triangular sweeps — the iteration-loop reuse the coupled
-// fixed point leans on.
+// IC(0)-preconditioned CG otherwise — see mathx.SPD) and every
+// Joule-power distribution costs two O(n·bw) triangular sweeps — the
+// iteration-loop reuse the coupled fixed point leans on.
 type SheetSolver struct {
 	nx, ny int
-	a      *mathx.CSR
-	chol   *mathx.BandCholesky // non-nil: direct path
-	prec   mathx.Preconditioner
+	spd    *mathx.SPD
 	n      int
 }
 
@@ -87,25 +85,14 @@ func NewSheetSolver(nx, ny int, dx, dy, sheetCond, sinkCond float64) (*SheetSolv
 		}
 	}
 	a.ColIdx, a.Val = cols, vals
-	s := &SheetSolver{nx: nx, ny: ny, a: a, n: n}
-	if c, err := mathx.NewBandCholesky(s.a, cholEntryBudget/n); err == nil {
-		s.chol = c
-		return s, nil
-	}
-	var err error
-	for _, try := range []mathx.Precond{mathx.PrecondIC0, mathx.PrecondSSOR, mathx.PrecondJacobi} {
-		if s.prec, err = mathx.NewPreconditioner(s.a, try); err == nil {
-			return s, nil
-		}
-	}
-	return nil, err
+	return &SheetSolver{nx: nx, ny: ny, spd: mathx.NewSPD(a, cholEntryBudget/n), n: n}, nil
 }
 
 // Cells returns the unknown count nx·ny.
 func (s *SheetSolver) Cells() int { return s.n }
 
 // Direct reports whether the banded Cholesky fast path is active.
-func (s *SheetSolver) Direct() bool { return s.chol != nil }
+func (s *SheetSolver) Direct() bool { return s.spd.Direct() }
 
 // Solve computes the tile temperature rises (K) for the given per-tile
 // powers (W), row-major with stride nx, writing into out (power and out
@@ -114,8 +101,8 @@ func (s *SheetSolver) Solve(power, out []float64) error {
 	if len(power) != s.n || len(out) != s.n {
 		return fmt.Errorf("%w: got %d powers and %d outputs for %d cells", ErrInvalid, len(power), len(out), s.n)
 	}
-	if err := solveLadder("sheet conduction", s.a, s.chol, s.prec, power, out, 1e-12, 0); err != nil {
-		return fmt.Errorf("fdm: %w", err)
+	if err := s.spd.Solve(power, out, nil); err != nil {
+		return fmt.Errorf("fdm: sheet conduction: %w", err)
 	}
 	return nil
 }

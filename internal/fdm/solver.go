@@ -14,16 +14,14 @@ import (
 // row-major grid numbering makes the bandwidth exactly nx), NewSolver
 // additionally pays a one-time banded Cholesky factorization, after which
 // every Solve/SolveBatch RHS is two triangular sweeps instead of a CG
-// run; otherwise each Solve is a preconditioned CG run with a fresh
-// right-hand side. SolveBatch runs many independent RHS concurrently over
-// the one shared setup either way.
+// run; otherwise each Solve is an IC(0)-preconditioned CG run (see
+// mathx.SPD for the full fallback ladder). SolveBatch runs many
+// independent RHS concurrently over the one shared setup either way.
 type Solver struct {
-	m    *mesh
-	a    *mathx.CSR
-	chol *mathx.BandCholesky // non-nil: direct path
-	prec mathx.Preconditioner
-	n    int
-	rtol float64
+	m   *mesh
+	a   *mathx.CSR
+	spd *mathx.SPD
+	n   int
 }
 
 // cholEntryBudget caps the banded factor at 16M floats (128 MB): maxBand
@@ -34,40 +32,15 @@ const cholEntryBudget = 1 << 24
 // NewSolver meshes the array at the given resolution (metres; a third of
 // the smallest feature is a good default — see DefaultResolution) and
 // factors the conduction matrix with a banded Cholesky when the band fits
-// the memory budget — the multi-RHS fast path. If it does not fit, solves
-// fall back to IC(0)-preconditioned CG (degrading to SSOR/Jacobi if the
-// incomplete factorization breaks down).
+// the memory budget — the multi-RHS fast path.
 func NewSolver(ar *geometry.Array, res float64) (*Solver, error) {
-	s, err := NewSolverPrecond(ar, res, mathx.PrecondIC0)
-	if err != nil {
-		return nil, err
-	}
-	if c, err := mathx.NewBandCholesky(s.a, cholEntryBudget/s.n); err == nil {
-		s.chol = c
-	}
-	return s, nil
-}
-
-// NewSolverPrecond builds a solver that always uses preconditioned CG
-// with an explicit preconditioner choice — the ablation/benchmark hook
-// for comparing Jacobi, SSOR and IC(0) on the same mesh (and the serial
-// baseline the benchmarks measure the direct path against). An
-// unavailable preconditioner degrades along IC(0) → SSOR → Jacobi.
-func NewSolverPrecond(ar *geometry.Array, res float64, pc mathx.Precond) (*Solver, error) {
 	m, err := buildMesh(ar, res)
 	if err != nil {
 		return nil, err
 	}
-	s := &Solver{m: m, n: m.nx() * m.ny(), rtol: 1e-10}
+	s := &Solver{m: m, n: m.nx() * m.ny()}
 	s.a = s.assemble()
-	for _, try := range []mathx.Precond{pc, mathx.PrecondSSOR, mathx.PrecondJacobi} {
-		if s.prec, err = mathx.NewPreconditioner(s.a, try); err == nil {
-			break
-		}
-	}
-	if s.prec == nil {
-		return nil, err
-	}
+	s.spd = mathx.NewSPD(s.a, cholEntryBudget/s.n)
 	return s, nil
 }
 
@@ -166,13 +139,11 @@ func (s *Solver) rhs(powers map[LineRef]float64) ([]float64, error) {
 	return b, nil
 }
 
-// solveOne computes one field into x down the fallback ladder: a
-// residual-verified direct solve when the banded factor exists, then
-// preconditioned CG (x as the warm-start guess), then Jacobi CG, then
-// a structured mathx.ErrNumeric.
+// solveOne computes one field into x down the mathx.SPD fallback
+// ladder, x serving as the CG warm start.
 func (s *Solver) solveOne(b, x []float64, powers map[LineRef]float64) (*Field, error) {
-	if err := solveLadder("fdm conduction", s.a, s.chol, s.prec, b, x, s.rtol, 40*s.n); err != nil {
-		return nil, fmt.Errorf("fdm: %w", err)
+	if err := s.spd.Solve(b, x, nil); err != nil {
+		return nil, fmt.Errorf("fdm: conduction: %w", err)
 	}
 	pp := make(map[LineRef]float64, len(powers))
 	for k, v := range powers {

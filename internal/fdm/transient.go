@@ -12,8 +12,8 @@ import (
 //
 // on the array cross-section, integrated implicitly (backward Euler; the
 // fixed system matrix is band-factorized once so each step is a direct
-// solve, with warm-started CG as the wide-mesh fallback). It serves
-// two purposes: validating the lumped §6 ESD heat-balance model's
+// solve, with the mathx.SPD ladder's CG rungs as the fallback). It
+// serves two purposes: validating the lumped §6 ESD heat-balance model's
 // boundary-layer loss term against full 2-D conduction, and studying how
 // fast an array approaches its steady state after a power step.
 type Transient struct {
@@ -96,8 +96,10 @@ func (s *Solver) SolvePulse(powers map[LineRef]float64, onDuration, totalDuratio
 	}
 	// The backward-Euler system matrix is fixed across all steps, so a
 	// one-time banded factorization turns every step into two triangular
-	// sweeps; wide meshes fall back to warm-started CG below.
-	sysChol, _ := mathx.NewBandCholesky(sys, cholEntryBudget/s.n)
+	// sweeps; wide meshes fall back to CG warm-started from the previous
+	// step.
+	sysSPD := mathx.NewSPD(sys, cholEntryBudget/s.n)
+	var scratch mathx.CGScratch
 
 	tr := &Transient{LineDT: make(map[LineRef][]float64)}
 	temp := make([]float64, s.n)
@@ -123,13 +125,8 @@ func (s *Solver) SolvePulse(powers map[LineRef]float64, onDuration, totalDuratio
 				rhs[i] += b[i]
 			}
 		}
-		if sysChol != nil {
-			sysChol.Solve(rhs, temp)
-		} else {
-			res := mathx.SolveCG(sys, rhs, temp, 1e-10, 0)
-			if !res.Converged {
-				return nil, fmt.Errorf("fdm: transient CG stalled at t=%g (residual %g)", tNow, res.Residual)
-			}
+		if err := sysSPD.Solve(rhs, temp, &scratch); err != nil {
+			return nil, fmt.Errorf("fdm: transient step at t=%g: %w", tNow, err)
 		}
 		record(tNow)
 	}

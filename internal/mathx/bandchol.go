@@ -81,15 +81,12 @@ func NewBandCholesky(a *CSR, maxBand int) (*BandCholesky, error) {
 	return &BandCholesky{n: n, bw: bw, l: l}, nil
 }
 
-// N returns the matrix dimension.
-func (c *BandCholesky) N() int { return c.n }
-
 // Bandwidth returns the factored (half-)bandwidth.
 func (c *BandCholesky) Bandwidth() int { return c.bw }
 
 // Solve writes the solution of A·x = b into x (forward then backward
 // triangular sweep, in place in x, so b and x may alias). len(b) and
-// len(x) must equal N().
+// len(x) must equal the matrix dimension.
 func (c *BandCholesky) Solve(b, x []float64) {
 	n, bw := c.n, c.bw
 	stride := bw + 1

@@ -56,24 +56,21 @@ func BenchmarkDotParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkSolveCGPrecond compares preconditioners on the same system —
-// the iteration counts are what buy the FDM batch speedup downstream.
+// BenchmarkSolveCGPrecond compares the ladder's two CG preconditioners
+// on the same system — the iteration counts are why IC(0) is the
+// primary CG rung.
 func BenchmarkSolveCGPrecond(b *testing.B) {
 	a := laplacian2D(150, 100)
 	rhs := randVec(rand.New(rand.NewSource(7)), a.N)
-	for _, pc := range []Precond{PrecondJacobi, PrecondSSOR, PrecondIC0} {
-		m, err := NewPreconditioner(a, pc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(pc.String(), func(b *testing.B) {
+	for _, pc := range ladderPreconds(b, a) {
+		b.Run(pc.name, func(b *testing.B) {
 			x := make([]float64, a.N)
 			var iters int
 			for i := 0; i < b.N; i++ {
 				for j := range x {
 					x[j] = 0
 				}
-				res := SolveCGPrec(a, rhs, x, 1e-8, 10*a.N, m)
+				res := solveCG(a, rhs, x, 1e-8, 10*a.N, pc.m, &CGScratch{})
 				if !res.Converged {
 					b.Fatal("CG did not converge")
 				}

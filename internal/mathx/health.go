@@ -9,9 +9,9 @@ import (
 
 // Numeric health: the backbone's solvers must never hand a NaN field or
 // a silently diverged solution to a signoff verdict. This file holds
-// the structured failure sentinel, the scan/residual helpers the solver
-// fallback ladders are built from (fdm, powergrid), and the process-wide
-// counters the server exports under /metrics.resilience.numeric.
+// the structured failure sentinel, the scan/residual helpers the SPD
+// solve ladder is built from, and the process-wide counters the server
+// exports under /metrics.resilience.numeric.
 
 // ErrNumeric is the structured sentinel wrapped by every numeric-health
 // failure: NaN/Inf contamination, CG divergence or stagnation, a direct
@@ -22,7 +22,7 @@ import (
 // quarantines chunks that carry it rather than retrying them.
 var ErrNumeric = errors.New("mathx: numeric failure")
 
-// CG divergence / stagnation thresholds (see SolveCGScratch).
+// CG divergence / stagnation thresholds (see solveCG).
 const (
 	// cgDivergeLimit: a relative residual this far above 1 means the
 	// iteration is blowing up, not converging — no SPD system recovers
@@ -76,15 +76,8 @@ func NumericStats() NumericStatsSnapshot {
 	}
 }
 
-// RecordFallback counts one ladder step down (exported for the solver
-// packages that own their ladders — fdm, powergrid).
-func RecordFallback() { fallbackSolves.Add(1) }
-
-// RecordDirectReject counts one direct solve rejected by residual
-// verification.
-func RecordDirectReject() { directRejects.Add(1) }
-
-// RecordNumericFailure counts one solve that exhausted its ladder.
+// RecordNumericFailure counts one numeric failure detected outside the
+// solve ladder (a coupled fixed point's non-finite field).
 func RecordNumericFailure() { numericFailures.Add(1) }
 
 // FirstNonFinite returns the index of the first NaN or Inf in xs, or −1
@@ -113,11 +106,11 @@ func CheckFinite(what string, xs []float64) error {
 }
 
 // RelResidual computes the relative residual ‖b − A·x‖₂ / ‖b‖₂ of a
-// candidate solution, the verification step behind every direct solve in
-// the fallback ladders. scratch, when non-nil and long enough, avoids
-// the work-vector allocation. A zero b returns the absolute residual
-// norm; a NaN anywhere propagates into the result (callers treat
-// non-finite as failed verification).
+// candidate solution, the verification step behind the ladder's direct
+// rung. scratch, when non-nil and long enough, avoids the work-vector
+// allocation. A zero b returns the absolute residual norm; a NaN
+// anywhere propagates into the result (callers treat non-finite as
+// failed verification).
 func RelResidual(a *CSR, x, b, scratch []float64) float64 {
 	n := a.N
 	var r []float64

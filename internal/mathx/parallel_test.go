@@ -142,56 +142,69 @@ func TestAxpyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// namedPrecond is one of the solve ladder's CG preconditioners.
+type namedPrecond struct {
+	name string
+	m    preconditioner
+}
+
+// ladderPreconds builds the ladder's two CG preconditioners for a:
+// Jacobi and IC(0).
+func ladderPreconds(tb testing.TB, a *CSR) []namedPrecond {
+	ic, err := newIC0(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []namedPrecond{{"jacobi", newJacobi(a)}, {"ic0", ic}}
+}
+
 // TestSolveCGDeterministicAcrossWorkers: a full PCG solve — SpMV, dots,
 // axpys, preconditioner — lands on bit-identical solutions at worker
-// counts 1, 2 and 8, for every preconditioner.
+// counts 1, 2 and 8, for both ladder preconditioners.
 func TestSolveCGDeterministicAcrossWorkers(t *testing.T) {
 	a := laplacian2D(120, 80)
 	rng := rand.New(rand.NewSource(5))
 	b := randVec(rng, a.N)
-	for _, pc := range []Precond{PrecondJacobi, PrecondSSOR, PrecondIC0} {
+	for _, pc := range ladderPreconds(t, a) {
 		var sols [][]float64
 		var iters []int
 		for _, w := range []int{1, 2, 8} {
 			setWorkersForTest(t, w)
 			x := make([]float64, a.N)
-			res := SolveCGOpts(a, b, x, CGOptions{Rtol: 1e-10, Precond: pc})
+			res := solveCG(a, b, x, 1e-10, 0, pc.m, &CGScratch{})
 			if !res.Converged {
-				t.Fatalf("%v: CG did not converge (residual %g)", pc, res.Residual)
+				t.Fatalf("%s: CG did not converge (residual %g)", pc.name, res.Residual)
 			}
 			sols = append(sols, x)
 			iters = append(iters, res.Iterations)
 		}
 		for i := 1; i < len(sols); i++ {
 			if !bitEqual(sols[i], sols[0]) || iters[i] != iters[0] {
-				t.Fatalf("%v: solve drifted with worker count (iters %v)", pc, iters)
+				t.Fatalf("%s: solve drifted with worker count (iters %v)", pc.name, iters)
 			}
 		}
 	}
 }
 
-// TestPreconditionerCutsIterations proves the point of SSOR/IC(0): both
-// beat Jacobi on the model conduction matrix, and IC(0) beats SSOR.
+// TestPreconditionerCutsIterations proves the point of IC(0) as the
+// ladder's primary CG rung: it beats Jacobi on the model conduction
+// matrix.
 func TestPreconditionerCutsIterations(t *testing.T) {
 	a := laplacian2D(150, 100)
 	rng := rand.New(rand.NewSource(9))
 	b := randVec(rng, a.N)
-	iters := map[Precond]int{}
-	for _, pc := range []Precond{PrecondJacobi, PrecondSSOR, PrecondIC0} {
+	iters := map[string]int{}
+	for _, pc := range ladderPreconds(t, a) {
 		x := make([]float64, a.N)
-		res := SolveCGOpts(a, b, x, CGOptions{Rtol: 1e-10, Precond: pc})
+		res := solveCG(a, b, x, 1e-10, 0, pc.m, &CGScratch{})
 		if !res.Converged {
-			t.Fatalf("%v did not converge", pc)
+			t.Fatalf("%s did not converge", pc.name)
 		}
-		iters[pc] = res.Iterations
+		iters[pc.name] = res.Iterations
 	}
-	t.Logf("iterations: jacobi=%d ssor=%d ic0=%d",
-		iters[PrecondJacobi], iters[PrecondSSOR], iters[PrecondIC0])
-	if iters[PrecondSSOR] >= iters[PrecondJacobi] {
-		t.Errorf("SSOR (%d iters) should beat Jacobi (%d)", iters[PrecondSSOR], iters[PrecondJacobi])
-	}
-	if iters[PrecondIC0] >= iters[PrecondSSOR] {
-		t.Errorf("IC(0) (%d iters) should beat SSOR (%d)", iters[PrecondIC0], iters[PrecondSSOR])
+	t.Logf("iterations: jacobi=%d ic0=%d", iters["jacobi"], iters["ic0"])
+	if iters["ic0"] >= iters["jacobi"] {
+		t.Errorf("IC(0) (%d iters) should beat Jacobi (%d)", iters["ic0"], iters["jacobi"])
 	}
 }
 
@@ -209,14 +222,14 @@ func TestIC0ExactOnTridiagonal(t *testing.T) {
 		}
 	}
 	a := co.ToCSR()
-	m, err := NewPreconditioner(a, PrecondIC0)
+	m, err := newIC0(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	b := randVec(rng, n)
 	z := make([]float64, n)
-	m.Apply(b, z)
+	m.apply(b, z)
 	// Check A·z ≈ b.
 	az := make([]float64, n)
 	a.MulVec(z, az)
@@ -253,8 +266,12 @@ func TestSolveCGWarmStartConverges(t *testing.T) {
 	a := laplacian2D(80, 80)
 	rng := rand.New(rand.NewSource(13))
 	b := randVec(rng, a.N)
+	m, err := newIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cold := make([]float64, a.N)
-	resCold := SolveCGOpts(a, b, cold, CGOptions{Rtol: 1e-10, Precond: PrecondIC0})
+	resCold := solveCG(a, b, cold, 1e-10, 0, m, &CGScratch{})
 	if !resCold.Converged {
 		t.Fatal("cold solve did not converge")
 	}
@@ -264,7 +281,7 @@ func TestSolveCGWarmStartConverges(t *testing.T) {
 		b2[i] *= 1.01
 	}
 	warm := append([]float64(nil), cold...)
-	resWarm := SolveCGOpts(a, b2, warm, CGOptions{Rtol: 1e-10, Precond: PrecondIC0})
+	resWarm := solveCG(a, b2, warm, 1e-10, 0, m, &CGScratch{})
 	if !resWarm.Converged {
 		t.Fatal("warm solve did not converge")
 	}

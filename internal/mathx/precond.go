@@ -6,61 +6,15 @@ import (
 	"math"
 )
 
-// ErrPrecond reports a preconditioner that cannot be built for the given
-// matrix (e.g. IC(0) breakdown on a matrix that is not SPD enough).
-var ErrPrecond = errors.New("mathx: preconditioner breakdown")
+// errPrecond reports a preconditioner that cannot be built for the given
+// matrix (IC(0) breakdown on a matrix that is not SPD enough).
+var errPrecond = errors.New("mathx: preconditioner breakdown")
 
-// Precond selects the preconditioner used by SolveCGOpts.
-type Precond int
-
-const (
-	// PrecondJacobi is diagonal scaling — the cheapest option and the
-	// historical default of SolveCG.
-	PrecondJacobi Precond = iota
-	// PrecondSSOR is symmetric Gauss–Seidel (SSOR with ω = 1):
-	// M = (D+L)·D⁻¹·(D+U). No setup beyond the diagonal; roughly halves
-	// CG iteration counts on 2-D conduction matrices.
-	PrecondSSOR
-	// PrecondIC0 is zero-fill incomplete Cholesky. Strongest of the
-	// three on the FDM stencils (3–6× fewer iterations than Jacobi);
-	// setup can fail (ErrPrecond) when the matrix is not an M-matrix.
-	PrecondIC0
-)
-
-// String names the preconditioner for logs and benchmarks.
-func (p Precond) String() string {
-	switch p {
-	case PrecondJacobi:
-		return "jacobi"
-	case PrecondSSOR:
-		return "ssor"
-	case PrecondIC0:
-		return "ic0"
-	}
-	return fmt.Sprintf("precond(%d)", int(p))
-}
-
-// Preconditioner applies z = M⁻¹·r. Implementations are reusable across
-// solves on the same matrix (fdm builds one per Solver and shares it over
-// every RHS of a batch) and must be safe for concurrent Apply calls with
+// preconditioner applies z = M⁻¹·r. Implementations are read-only after
+// construction, so one instance serves concurrent CG solves with
 // distinct argument slices.
-type Preconditioner interface {
-	Apply(r, z []float64)
-}
-
-// NewPreconditioner builds the selected preconditioner for a. The matrix
-// must be symmetric with rows in ascending column order (as produced by
-// Coord.ToCSR).
-func NewPreconditioner(a *CSR, p Precond) (Preconditioner, error) {
-	switch p {
-	case PrecondJacobi:
-		return newJacobi(a), nil
-	case PrecondSSOR:
-		return newSSOR(a)
-	case PrecondIC0:
-		return NewIC0(a)
-	}
-	return nil, fmt.Errorf("%w: unknown preconditioner %d", ErrPrecond, int(p))
+type preconditioner interface {
+	apply(r, z []float64)
 }
 
 // jacobiPrec is diagonal scaling; zero diagonals pass through unscaled.
@@ -78,85 +32,35 @@ func newJacobi(a *CSR) *jacobiPrec {
 	return &jacobiPrec{invd: inv}
 }
 
-func (j *jacobiPrec) Apply(r, z []float64) {
+func (j *jacobiPrec) apply(r, z []float64) {
 	for i, v := range r {
 		z[i] = v * j.invd[i]
 	}
 }
 
-// ssorPrec applies M⁻¹ for M = (D+L)·D⁻¹·(D+U): one forward and one
-// backward triangular sweep over the matrix rows. The sweeps are
-// inherently sequential but deterministic; the win is the iteration-count
-// reduction, not intra-apply parallelism.
-type ssorPrec struct {
-	a *CSR
-	d []float64
-}
-
-func newSSOR(a *CSR) (*ssorPrec, error) {
-	d := a.Diag()
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("%w: zero diagonal at row %d", ErrPrecond, i)
-		}
-	}
-	return &ssorPrec{a: a, d: d}, nil
-}
-
-func (s *ssorPrec) Apply(r, z []float64) {
-	a, d := s.a, s.d
-	n := a.N
-	// Forward solve (D+L)·u = r, writing u into z.
-	for i := 0; i < n; i++ {
-		sum := r[i]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if j >= i {
-				break
-			}
-			sum -= a.Val[k] * z[j]
-		}
-		z[i] = sum / d[i]
-	}
-	// v = D·u, then backward solve (D+U)·z = v. Expanding, the update is
-	// z[i] = u[i] − (Σ_{j>i} a_ij·z[j]) / d[i].
-	for i := n - 1; i >= 0; i-- {
-		sum := 0.0
-		for k := a.RowPtr[i+1] - 1; k >= a.RowPtr[i]; k-- {
-			j := a.ColIdx[k]
-			if j <= i {
-				break
-			}
-			sum += a.Val[k] * z[j]
-		}
-		z[i] -= sum / d[i]
-	}
-}
-
-// IC0 is the zero-fill incomplete Cholesky factor L (A ≈ L·Lᵀ on A's
-// lower-triangular sparsity), stored row-compressed. The factor is
-// reusable two ways: across solves on one matrix (Apply is read-only),
-// and across matrices sharing a sparsity pattern via Refactor, which
-// restamps values into the existing storage — the path the coupled
-// electrothermal loop uses to refresh the preconditioner every pass
-// without reallocating.
-type IC0 struct {
+// ic0 is the zero-fill incomplete Cholesky factor L (A ≈ L·Lᵀ on A's
+// lower-triangular sparsity), stored row-compressed. On the FDM
+// stencils it cuts CG iterations 3–6× against Jacobi. refactor restamps
+// new values of the same pattern into the existing storage — the path
+// the coupled electrothermal loop uses to refresh the preconditioner
+// every pass without reallocating.
+type ic0 struct {
 	n      int
 	rowPtr []int
 	colIdx []int
 	val    []float64
 	diag   []float64 // l_ii
-	diagA  []float64 // scratch: diagonal of A, refreshed by Refactor
+	diagA  []float64 // scratch: diagonal of A, refreshed by refactor
 }
 
-// NewIC0 builds the IC(0) factor of a, which must be symmetric with rows
+// newIC0 builds the IC(0) factor of a, which must be symmetric with rows
 // in ascending column order (as produced by Coord.ToCSR). Fails with
-// ErrPrecond when a pivot breaks down (matrix not SPD enough).
-func NewIC0(a *CSR) (*IC0, error) {
+// errPrecond when a pivot breaks down (matrix not SPD enough).
+func newIC0(a *CSR) (*ic0, error) {
 	n := a.N
-	f := &IC0{n: n, rowPtr: make([]int, n+1), diag: make([]float64, n), diagA: make([]float64, n)}
+	f := &ic0{n: n, rowPtr: make([]int, n+1), diag: make([]float64, n), diagA: make([]float64, n)}
 	// Record the strictly-lower pattern (columns ascending) row by row;
-	// Refactor fills in the values.
+	// refactor fills in the values.
 	for i := 0; i < n; i++ {
 		f.rowPtr[i] = len(f.colIdx)
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
@@ -167,20 +71,19 @@ func NewIC0(a *CSR) (*IC0, error) {
 	}
 	f.rowPtr[n] = len(f.colIdx)
 	f.val = make([]float64, len(f.colIdx))
-	if err := f.Refactor(a); err != nil {
+	if err := f.refactor(a); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// Refactor recomputes the factorization for a matrix with the same
-// sparsity pattern as the one the factor was built from (values may
-// differ), reusing all existing storage — no allocation. On error the
-// factor contents are undefined; rebuild with NewIC0 or fall back to
-// another preconditioner before the next Apply.
-func (f *IC0) Refactor(a *CSR) error {
+// refactor recomputes the factorization for a matrix with the sparsity
+// pattern the factor was built from (values may differ), reusing all
+// existing storage — no allocation. On error the factor contents are
+// undefined and the factor must not be applied.
+func (f *ic0) refactor(a *CSR) error {
 	if a.N != f.n {
-		return fmt.Errorf("%w: IC(0) refactor dimension mismatch (%d vs %d)", ErrPrecond, a.N, f.n)
+		return fmt.Errorf("%w: IC(0) refactor dimension mismatch (%d vs %d)", errPrecond, a.N, f.n)
 	}
 	// Restamp the strictly-lower values and the diagonal from a.
 	p := 0
@@ -196,7 +99,7 @@ func (f *IC0) Refactor(a *CSR) error {
 		}
 	}
 	if p != len(f.val) {
-		return fmt.Errorf("%w: IC(0) refactor pattern mismatch", ErrPrecond)
+		return fmt.Errorf("%w: IC(0) refactor pattern mismatch", errPrecond)
 	}
 	// Row-oriented factorization. FDM stencils have ≤ 2 strictly-lower
 	// entries per row, so the sparse row intersections below are tiny.
@@ -228,15 +131,15 @@ func (f *IC0) Refactor(a *CSR) error {
 			s -= f.val[p] * f.val[p]
 		}
 		if s <= 0 || math.IsNaN(s) {
-			return fmt.Errorf("%w: IC(0) pivot %g at row %d", ErrPrecond, s, i)
+			return fmt.Errorf("%w: IC(0) pivot %g at row %d", errPrecond, s, i)
 		}
 		f.diag[i] = math.Sqrt(s)
 	}
 	return nil
 }
 
-// Apply solves L·Lᵀ·z = r by one forward and one backward substitution.
-func (f *IC0) Apply(r, z []float64) {
+// apply solves L·Lᵀ·z = r by one forward and one backward substitution.
+func (f *ic0) apply(r, z []float64) {
 	n := f.n
 	// Forward: L·y = r (y in z).
 	for i := 0; i < n; i++ {

@@ -123,34 +123,15 @@ type CGResult struct {
 	Stagnated bool
 }
 
-// CGOptions configures SolveCGOpts. The zero value reproduces the classic
-// SolveCG behavior (Jacobi preconditioning, maxIter = 10·N).
-type CGOptions struct {
-	// Rtol is the relative residual target ‖b − A·x‖₂ / ‖b‖₂.
-	Rtol float64
-	// MaxIter caps the iteration count (≤ 0 means 10·N).
-	MaxIter int
-	// Precond selects the preconditioner (default PrecondJacobi).
-	Precond Precond
-}
-
 // SolveCG solves A·x = b for a symmetric positive-definite CSR matrix
 // using Jacobi-preconditioned conjugate gradients. x is used as the
 // initial guess and overwritten with the solution. rtol is the relative
 // residual target; maxIter caps the iteration count (≤ 0 means 10·N).
+// An all-zero b short-circuits to the exact solution x = 0 (Converged,
+// zero iterations) regardless of the initial guess. Grid solves that
+// need the full fallback ladder go through SPD instead.
 func SolveCG(a *CSR, b, x []float64, rtol float64, maxIter int) CGResult {
-	return SolveCGOpts(a, b, x, CGOptions{Rtol: rtol, MaxIter: maxIter})
-}
-
-// SolveCGOpts is SolveCG with an explicit preconditioner choice. A
-// preconditioner that fails to build (IC(0) breakdown) silently degrades
-// to Jacobi — CG still converges, just slower.
-func SolveCGOpts(a *CSR, b, x []float64, opt CGOptions) CGResult {
-	m, err := NewPreconditioner(a, opt.Precond)
-	if err != nil {
-		m = newJacobi(a)
-	}
-	return SolveCGPrec(a, b, x, opt.Rtol, opt.MaxIter, m)
+	return solveCG(a, b, x, rtol, maxIter, newJacobi(a), &CGScratch{})
 }
 
 // CGScratch holds the four work vectors of a CG solve so repeated
@@ -172,18 +153,9 @@ func (s *CGScratch) resize(n int) {
 	s.r, s.z, s.p, s.ap = s.r[:n], s.z[:n], s.p[:n], s.ap[:n]
 }
 
-// SolveCGPrec runs preconditioned CG with a caller-supplied (reusable)
-// preconditioner, so batched multi-RHS solves pay the setup cost once.
-// An all-zero b short-circuits to the exact solution x = 0 (Converged,
-// zero iterations) regardless of the initial guess.
-func SolveCGPrec(a *CSR, b, x []float64, rtol float64, maxIter int, m Preconditioner) CGResult {
-	return SolveCGScratch(a, b, x, rtol, maxIter, m, &CGScratch{})
-}
-
-// SolveCGScratch is SolveCGPrec with caller-owned work vectors; results
-// are identical, only the allocation behavior differs. The scratch must
-// not be shared between concurrent solves.
-func SolveCGScratch(a *CSR, b, x []float64, rtol float64, maxIter int, m Preconditioner, scratch *CGScratch) CGResult {
+// solveCG runs CG preconditioned by m with caller-owned work vectors.
+// The scratch must not be shared between concurrent solves.
+func solveCG(a *CSR, b, x []float64, rtol float64, maxIter int, m preconditioner, scratch *CGScratch) CGResult {
 	n := a.N
 	if maxIter <= 0 {
 		maxIter = 10 * n
@@ -203,7 +175,7 @@ func SolveCGScratch(a *CSR, b, x []float64, rtol float64, maxIter int, m Precond
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	m.Apply(r, z)
+	m.apply(r, z)
 	copy(p, z)
 	rz := Dot(r, z)
 	res := CGResult{}
@@ -247,7 +219,7 @@ func SolveCGScratch(a *CSR, b, x []float64, rtol float64, maxIter int, m Precond
 		alpha := rz / pap
 		Axpy(alpha, p, x)
 		Axpy(-alpha, ap, r)
-		m.Apply(r, z)
+		m.apply(r, z)
 		rzNew := Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew

@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"dsmtherm/internal/core"
-	"dsmtherm/internal/faultinject"
 	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/ntrs"
 	"dsmtherm/internal/phys"
@@ -285,8 +284,8 @@ func (g *Grid) branchTemperature(b *Branch, j, tref float64) (float64, error) {
 // Nodal is a reusable nodal-analysis session over one (grid, loads)
 // pair. The mesh topology, per-branch geometry, pad set and load
 // injections are computed once at construction; each Solve then only
-// restamps the temperature-dependent conductances and runs a CG solve
-// warm-started from the previous call's drop vector. That makes an
+// restamps the temperature-dependent conductances and runs an IC(0) CG
+// solve warm-started from the previous call's drop vector. That makes an
 // external electrothermal loop — the grid's own Solve, or a chip-level
 // coupled checker driving branch temperatures from a shared thermal
 // map — pay near-incremental cost per temperature update. Solve results
@@ -313,9 +312,10 @@ type Nodal struct {
 	slots    [][4]int // Val slots per branch: (f,f),(f,t),(t,t),(t,f); -1 absent
 	padSlots []int    // diagonal slots of pad rows (identity stamp)
 	conds    []float64
-	rhs      []float64
-	ic0      *mathx.IC0 // refactored in place each Solve; nil after breakdown
-	cg       mathx.CGScratch
+	// spd is the solve ladder over a without a direct rung: IC(0) CG,
+	// refactored in place after every restamp, then Jacobi CG.
+	spd *mathx.SPD
+	cg  mathx.CGScratch
 }
 
 // NewNodal validates the grid and loads and builds a session.
@@ -409,7 +409,7 @@ func (g *Grid) NewNodal(loads []Load) (*Nodal, error) {
 		}
 	}
 	nd.conds = make([]float64, len(nd.branches))
-	nd.rhs = make([]float64, n)
+	nd.spd = mathx.NewSPD(a, -1)
 	return nd, nil
 }
 
@@ -474,52 +474,9 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 	for _, k := range nd.padSlots {
 		a.Val[k] = 1
 	}
-	// Preconditioner ladder: IC(0) (refactored in place each pass) is
-	// the primary path; a fault hook at SiteMathxSolve skips it so tests
-	// can walk the ladder on healthy grids.
-	useIC0 := true
-	if faultinject.Inject(ctx, faultinject.SiteMathxSolve) != nil {
-		mathx.RecordFallback()
-		useIC0 = false
-	}
-	var prec mathx.Preconditioner
-	if useIC0 {
-		if nd.ic0 == nil {
-			if f, err := mathx.NewIC0(a); err == nil {
-				nd.ic0 = f
-			}
-		} else if nd.ic0.Refactor(a) != nil {
-			nd.ic0 = nil
-		}
-		if nd.ic0 != nil {
-			prec = nd.ic0
-		}
-	}
-	onIC0 := prec != nil
-	if prec == nil {
-		prec, _ = mathx.NewPreconditioner(a, mathx.PrecondJacobi)
-	}
-	copy(nd.rhs, nd.rhsBase)
-	res := mathx.SolveCGScratch(a, nd.rhs, nd.x, 1e-12, 0, prec, &nd.cg)
-	if !res.Converged && onIC0 {
-		// The IC(0) rung failed (divergence, stagnation, or the
-		// iteration cap): restart cold on Jacobi — the failed rung may
-		// have left NaN in the warm-start vector.
-		mathx.RecordFallback()
-		for i := range nd.x {
-			nd.x[i] = 0
-		}
-		prec, _ = mathx.NewPreconditioner(a, mathx.PrecondJacobi)
-		res = mathx.SolveCGScratch(a, nd.rhs, nd.x, 1e-12, 0, prec, &nd.cg)
-	}
-	if !res.Converged {
-		mathx.RecordNumericFailure()
-		return nil, fmt.Errorf("powergrid: %w: CG exhausted the fallback ladder (residual %g after %d iterations, diverged=%v stagnated=%v)",
-			mathx.ErrNumeric, res.Residual, res.Iterations, res.Diverged, res.Stagnated)
-	}
-	if err := mathx.CheckFinite("IR-drop solution", nd.x); err != nil {
-		mathx.RecordNumericFailure()
-		return nil, fmt.Errorf("powergrid: %w", err)
+	nd.spd.Refactor()
+	if err := nd.spd.Solve(nd.rhsBase, nd.x, &nd.cg); err != nil {
+		return nil, fmt.Errorf("powergrid: IR drop: %w", err)
 	}
 	x := nd.x
 

@@ -262,3 +262,32 @@ func TestNodalReuseMatchesSolve(t *testing.T) {
 		t.Fatalf("short temps: err = %v, want ErrInvalid", err)
 	}
 }
+
+// TestSolveIntoAllocationFree pins the electrothermal pass at zero
+// allocations: after the first pass builds the IC(0) factor, each
+// restamp refactors it in place and the CG scratch, warm start and
+// Solution are reused.
+func TestSolveIntoAllocationFree(t *testing.T) {
+	g := testGrid()
+	nd, err := g.NewNodal([]Load{{Node{4, 4}, 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	temps := make([]float64, nd.NumBranches())
+	for i := range temps {
+		temps[i] = phys.CToK(100)
+	}
+	sol, err := nd.SolveInto(context.Background(), temps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		temps[0] += 1 // a new temperature: restamp, refactor, re-solve
+		if sol, err = nd.SolveInto(context.Background(), temps, sol); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocs per pass, want 0", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -56,11 +57,6 @@ func TestChipcheckEndpointErrors(t *testing.T) {
 		{"no pads", `{"nx":12,"ny":12}`, http.StatusBadRequest, "invalid_request"},
 		{"nan pitch", `{"nx":12,"ny":12,"padRing":true,"pitchXUm":-1}`, http.StatusBadRequest, "invalid_request"},
 		{"bad tech", `{"node":"0.18","nx":12,"ny":12,"padRing":true}`, http.StatusBadRequest, "invalid_request"},
-		// A near-zero load overflows most segments' lifetime ratio to
-		// +Inf, which JSON cannot carry: the reply must be a structured
-		// 422, not a 200 with an empty body.
-		{"non-finite reply", `{"nx":12,"ny":12,"padRing":true,"loads":[{"i":5,"j":5,"amps":1e-155}]}`,
-			http.StatusUnprocessableEntity, "numeric_failure"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			status, body := postJSON(t, ts.URL+"/v1/chipcheck", tc.body)
@@ -71,6 +67,70 @@ func TestChipcheckEndpointErrors(t *testing.T) {
 				t.Fatalf("code %q, want %s", code, tc.code)
 			}
 		})
+	}
+}
+
+// nearIdleBody loads the 12×12 pad-ring grid with one 1e-155 A sink:
+// its currents are too small for Black's law to bound in float64, so
+// EM cannot act on any segment.
+const nearIdleBody = `{"nx":12,"ny":12,"padRing":true,"loads":[{"i":5,"j":5,"amps":1e-155}]}`
+
+// TestChipcheckNearIdleLoad: a near-idle chip is well posed, so it gets
+// a 200 with finite numbers and every segment idle — not a 422.
+func TestChipcheckNearIdleLoad(t *testing.T) {
+	_, ts := newTestServer(t)
+	status, body := postJSON(t, ts.URL+"/v1/chipcheck", nearIdleBody)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	var res chipcheck.Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if res.Summary.Idle != res.Summary.Branches || res.Summary.Branches != 264 {
+		t.Fatalf("idle %d of %d branches, want all 264", res.Summary.Idle, res.Summary.Branches)
+	}
+	if !res.Summary.OK {
+		t.Fatalf("near-idle chip must pass signoff: %+v", res.Summary)
+	}
+}
+
+// TestChipcheckJobNearIdleLoad: the same near-idle params as a job must
+// finish done, with the same all-idle summary.
+func TestChipcheckJobNearIdleLoad(t *testing.T) {
+	_, ts, _ := newJobsServer(t, jobs.Config{})
+	status, body := postJSON(t, ts.URL+"/v1/jobs",
+		`{"type":"chipcheck","lane":"bulk","chipcheck":`+nearIdleBody+`}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", status, body)
+	}
+	var v jobs.View
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	fin := pollJob(t, ts.URL, v.ID)
+	if fin.Status != jobs.StatusDone {
+		t.Fatalf("job %s: %q", fin.Status, fin.Error)
+	}
+	var res chipcheck.Result
+	if st := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/result", &res); st != http.StatusOK {
+		t.Fatalf("result status %d", st)
+	}
+	if res.Summary.Idle != res.Summary.Branches || res.Summary.Branches != 264 {
+		t.Fatalf("idle %d of %d branches, want all 264", res.Summary.Idle, res.Summary.Branches)
+	}
+}
+
+// TestWriteJSONNonFinite: a reply JSON cannot carry (an Inf) must be a
+// structured 422 numeric_failure, not a 200 with an empty body.
+func TestWriteJSONNonFinite(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"ratio": math.Inf(1)})
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %q", rec.Code, rec.Body.String())
+	}
+	if code := errorCode(t, rec.Body.Bytes()); code != "numeric_failure" {
+		t.Fatalf("code %q, want numeric_failure", code)
 	}
 }
 
