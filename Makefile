@@ -72,12 +72,13 @@ bench-smoke:
 	$(GO) test ./internal/server -run '^$$' -bench 'ThunderingHerd|BatchVsSerial|WarmStartVsCold|QuarantineHit' -benchtime 1x
 
 # Numeric-backbone benchmarks (parallel kernels, batched FDM solves,
-# Monte Carlo fan-out, job-lane throughput) with serial baselines in the
-# same run, appended to the perf trajectory as the next BENCH_<n>.json
+# Monte Carlo fan-out, job-lane throughput, the lifetime sampling kernel
+# and its inverse normal) with serial baselines in the same run,
+# appended to the perf trajectory as the next BENCH_<n>.json
 # (cmd/benchjson -next auto-increments past the highest existing index).
 bench-json:
-	$(GO) test ./internal/mathx ./internal/fdm ./internal/rules ./internal/jobs ./internal/chipcheck -run '^$$' \
-		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch' \
+	$(GO) test ./internal/mathx ./internal/fdm ./internal/rules ./internal/jobs ./internal/chipcheck ./internal/lifetime -run '^$$' \
+		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|SampleRange|InvNormCDF' \
 		-benchtime 10x -count=1 | $(GO) run ./cmd/benchjson -next .
 
 verify: fmt build vet test perfbench race chaos fuzz-smoke bench-smoke cover-chipcheck

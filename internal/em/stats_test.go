@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"dsmtherm/internal/material"
-	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/waveform"
 )
 
@@ -126,34 +125,6 @@ func TestSeriesJDerating(t *testing.T) {
 	}
 	if _, err := SeriesJDerating(&material.Cu, 0.5, 0.001, 0); err == nil {
 		t.Error("zero segments must fail")
-	}
-}
-
-func TestInvNormCDF(t *testing.T) {
-	// Spot values.
-	cases := map[float64]float64{
-		0.5:      0,
-		0.841345: 1,
-		0.001:    -3.090232,
-		0.999:    3.090232,
-	}
-	for p, want := range cases {
-		if got := mathx.InvNormCDF(p); math.Abs(got-want) > 1e-5 {
-			t.Errorf("InvNormCDF(%v) = %v, want %v", p, got, want)
-		}
-	}
-	// Round trip across the domain.
-	for p := 1e-6; p < 1; p += 0.013 {
-		x := mathx.InvNormCDF(p)
-		if math.Abs(mathx.NormCDF(x)-p) > 1e-12 {
-			t.Fatalf("round trip at p=%v: %v", p, mathx.NormCDF(x))
-		}
-	}
-	if !math.IsInf(mathx.InvNormCDF(0), -1) || !math.IsInf(mathx.InvNormCDF(1), 1) {
-		t.Error("endpoints must be ±Inf")
-	}
-	if !math.IsNaN(mathx.InvNormCDF(-0.1)) || !math.IsNaN(mathx.InvNormCDF(1.1)) {
-		t.Error("out-of-domain must be NaN")
 	}
 }
 

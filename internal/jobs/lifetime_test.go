@@ -13,8 +13,7 @@ import (
 	"dsmtherm/internal/mathx"
 )
 
-// lifetimeReq builds a multi-chunk statistical-lifetime job (4 chunks
-// at 8192 samples/chunk).
+// lifetimeReq builds a 2-class statistical-lifetime job request.
 func lifetimeReq(samples int) SubmitRequest {
 	return SubmitRequest{
 		Type: TypeLifetime,
@@ -30,9 +29,21 @@ func lifetimeReq(samples int) SubmitRequest {
 	}
 }
 
+// lifetimeChunk is the chunk size of lifetimeReq's census, which
+// depends on its class count alone.
+func lifetimeChunk(tb testing.TB) int {
+	tb.Helper()
+	m, err := lifetime.Compile(*lifetimeReq(lifetime.DefaultSamples).Lifetime)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m.ChunkSamples()
+}
+
 func TestLifetimeJobLifecycle(t *testing.T) {
+	n := lifetimeChunk(t)
 	m := newTestManager(t, Config{})
-	v, err := m.Submit(lifetimeReq(3*lifetimeChunkSamples + 100))
+	v, err := m.Submit(lifetimeReq(3*n + 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +62,7 @@ func TestLifetimeJobLifecycle(t *testing.T) {
 	if err := json.Unmarshal(res, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Samples != 3*lifetimeChunkSamples+100 || rep.Classes != 2 || rep.Segments != 520000 {
+	if rep.Samples != 3*n+100 || rep.Classes != 2 || rep.Segments != 520000 {
 		t.Fatalf("report census: %+v", rep)
 	}
 	if len(rep.Quantiles) != 3 || !(rep.MinYears < rep.MedianYears && rep.MedianYears < rep.MaxYears) {
@@ -79,7 +90,8 @@ func TestLifetimeJobValidation(t *testing.T) {
 // byte-identical to an uninterrupted run — sketch merging across the
 // crash boundary reconstructs the exact serial state.
 func TestLifetimeCrashResumeBitIdentical(t *testing.T) {
-	req := lifetimeReq(3*lifetimeChunkSamples + 100) // 4 chunks
+	n := lifetimeChunk(t)
+	req := lifetimeReq(3*n + 100) // 4 chunks
 
 	ref := newTestManager(t, Config{Dir: t.TempDir()})
 	rv, err := ref.Submit(req)
@@ -144,7 +156,7 @@ func TestLifetimeCrashResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("journaled chunk %d blob: %v", c, err)
 		}
-		if sk.Count() != lifetimeChunkSamples {
+		if sk.Count() != uint64(n) {
 			t.Fatalf("journaled chunk %d holds %d samples", c, sk.Count())
 		}
 	}
@@ -168,11 +180,11 @@ func TestLifetimeCrashResumeBitIdentical(t *testing.T) {
 }
 
 // BenchmarkLifetimeSketch measures the streaming lifetime pipeline at
-// chunk granularity: sample one 8192-sample chunk into a sketch, encode
-// it, decode it, and merge it — the full journal round trip one chunk
-// costs.
+// chunk granularity: sample one work-sized chunk (ChunkSamples, 131072
+// samples for this 2-class census) into a sketch, encode it, decode it,
+// and merge it — the full journal round trip one chunk costs.
 func BenchmarkLifetimeSketch(b *testing.B) {
-	task, err := newTask(TypeLifetime, mustJSON(b, lifetimeReq(4*lifetimeChunkSamples).Lifetime))
+	task, err := newTask(TypeLifetime, mustJSON(b, lifetimeReq(4*lifetimeChunk(b)).Lifetime))
 	if err != nil {
 		b.Fatal(err)
 	}

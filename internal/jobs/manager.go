@@ -350,10 +350,11 @@ func (m *Manager) restore(jf *journalFile) {
 		j.failed, _ = DecodeManifest(jf.Manifest, jf.Chunks)
 	}
 	if want := task.Chunks(); want != jf.Chunks {
-		// The chunk-grid constant changed between binaries. Progress is
-		// sliced on the old boundaries, so it cannot be reused — but the
-		// params still validate, so restart the job from zero rather
-		// than losing it. Quarantine decisions are sliced on the same
+		// The chunk grid changed between binaries (a retuned chunk size
+		// shows here only as a different count). Progress is sliced on
+		// the old boundaries, so it cannot be reused — but the params
+		// still validate, so restart the job from zero rather than
+		// losing it. Quarantine decisions are sliced on the same
 		// boundaries, so they reset too.
 		j.chunks = want
 		j.bitmap = make([]uint64, bitmapWords(want))

@@ -213,9 +213,9 @@ func (g *Grid) SolveCtx(ctx context.Context, loads []Load, opts SolveOpts) (*Sol
 	return sol, nil
 }
 
-// branches enumerates the strap segments.
+// branches enumerates the strap segments into one allocation.
 func (g *Grid) branches() []Branch {
-	var out []Branch
+	out := make([]Branch, 0, max(0, g.Ny*(g.Nx-1)+g.Nx*(g.Ny-1)))
 	for j := 0; j < g.Ny; j++ {
 		for i := 0; i+1 < g.Nx; i++ {
 			out = append(out, Branch{From: Node{i, j}, To: Node{i + 1, j}, Horizontal: true})

@@ -291,3 +291,17 @@ func TestSolveIntoAllocationFree(t *testing.T) {
 		t.Fatalf("%.0f allocs per pass, want 0", allocs)
 	}
 }
+
+// TestBranchesOneAllocation: the strap count is known from the mesh, so
+// enumerating the straps allocates their slice once instead of regrowing
+// it; every NewNodal pays this on its largest per-grid slice.
+func TestBranchesOneAllocation(t *testing.T) {
+	g := testGrid()
+	want := g.Ny*(g.Nx-1) + g.Nx*(g.Ny-1)
+	if n := len(g.Branches()); n != want {
+		t.Fatalf("%d branches, want %d", n, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = g.Branches() }); allocs != 1 {
+		t.Fatalf("%.0f allocations per Branches call, want 1", allocs)
+	}
+}

@@ -51,7 +51,8 @@ func (s *Server) handleChipcheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.metrics.Chipchecks.Add(1)
-	s.metrics.ChipSegments.Add(uint64(res.Summary.Branches))
-	writeJSON(w, http.StatusOK, res)
+	if writeJSON(w, http.StatusOK, res) {
+		s.metrics.Chipchecks.Add(1)
+		s.metrics.ChipSegments.Add(uint64(res.Summary.Branches))
+	}
 }

@@ -125,7 +125,9 @@ func TestChipcheckJobNearIdleLoad(t *testing.T) {
 // structured 422 numeric_failure, not a 200 with an empty body.
 func TestWriteJSONNonFinite(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]float64{"ratio": math.Inf(1)})
+	if writeJSON(rec, http.StatusOK, map[string]float64{"ratio": math.Inf(1)}) {
+		t.Error("writeJSON reported an unencodable body as written")
+	}
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422: %q", rec.Code, rec.Body.String())
 	}

@@ -36,12 +36,18 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 	}
 	var rep *lifetime.Report
 	err = s.pool.ForEach(r.Context(), 1, func(ctx context.Context, _ int) error {
+		// One sketch fed in ChunkSamples slices: the same Add sequence
+		// as one uninterrupted pass, with a cancellation check between
+		// slices so a departed client stops the sampling.
 		sk := lifetime.NewSketch()
-		if err := model.SampleRange(sk, 0, model.Samples); err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
+		n := model.ChunkSamples()
+		for lo := 0; lo < model.Samples; lo += n {
+			if err := model.SampleRange(sk, lo, min(lo+n, model.Samples)); err != nil {
+				return err
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		rep, err = model.BuildReport(sk)
 		return err
@@ -50,7 +56,8 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.metrics.Lifetimes.Add(1)
-	s.metrics.LifetimeSamples.Add(uint64(rep.Samples))
-	writeJSON(w, http.StatusOK, rep)
+	if writeJSON(w, http.StatusOK, rep) {
+		s.metrics.Lifetimes.Add(1)
+		s.metrics.LifetimeSamples.Add(uint64(rep.Samples))
+	}
 }

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dsmtherm/internal/lifetime"
 )
@@ -86,5 +89,39 @@ func TestLifetimeCapRedirectsToJobs(t *testing.T) {
 	}
 	if !strings.Contains(string(resp), "lifetime") || !strings.Contains(string(resp), "job") {
 		t.Fatalf("cap error must point at the job lane: %s", resp)
+	}
+}
+
+// TestLifetimeCancelStopsSampling: a request cancelled mid-sampling must
+// stop within one ChunkSamples slice instead of drawing its whole count.
+// Uncancelled, these 1<<24 samples of a 3-class census take ~10 s.
+func TestLifetimeCancelStopsSampling(t *testing.T) {
+	s := New(Config{Workers: 2, CacheEntries: 16, MaxLifetimeSamples: 1 << 24})
+	body := fmt.Sprintf(`{"samples": %d, "seed": 5, "rho": 0.3, "segments": [
+		{"count": 200000, "tempC": 100, "jMA": 0.45},
+		{"count": 5000, "tempC": 130, "jMA": 1.1},
+		{"count": 300, "tempC": 155, "jMA": 1.6}]}`, 1<<24)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/lifetime", strings.NewReader(body)).WithContext(ctx)
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(rec, req)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler still sampling 2 s after its request was cancelled")
+	}
+	if rec.Code == http.StatusOK {
+		t.Fatalf("cancelled request answered 200: %s", rec.Body.String())
+	}
+	if n := s.metrics.Lifetimes.Load(); n != 0 {
+		t.Fatalf("cancelled request counted as %d completed lifetimes", n)
 	}
 }

@@ -378,17 +378,20 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// writeJSON renders v as indented JSON. The body is encoded before the
-// status goes out, so a value the encoder rejects (a ±Inf or NaN field)
-// is answered as a 422 numeric_failure rather than an empty 200.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON renders v as indented JSON and reports whether the body was
+// written. The body is encoded before the status goes out, so a value
+// the encoder rejects (a ±Inf or NaN field) is answered as a 422
+// numeric_failure rather than an empty 200; that, or a failed write (the
+// client is gone, so there is no one to tell), returns false, and
+// handlers count a completed request only on true.
+func writeJSON(w http.ResponseWriter, status int, v any) bool {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		writeError(w, fmt.Errorf("%w: encode response: %v", mathx.ErrNumeric, err))
-		return
+		return false
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// A failed write means the client is gone; there is no one to tell.
-	_, _ = w.Write(append(body, '\n'))
+	_, err = w.Write(append(body, '\n'))
+	return err == nil
 }
