@@ -33,7 +33,7 @@ race:
 # poison-key quarantine, breaker degradation, crash-safe restart, job
 # crash-resume / lane isolation, and the PR 8 self-healing suite — the
 # jobs package run covers chunk retry/quarantine, journal degradation
-# and torn-frame recovery under injected faults; the final line drives
+# and torn-tail recovery under injected faults; the final line drives
 # the numeric fallback ladder and the CG health guards.
 chaos:
 	$(GO) test -race -count=1 ./internal/server \

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -17,9 +18,10 @@ func benchSweep() SubmitRequest {
 // BenchmarkJobThroughput measures one job end to end — submit, chunked
 // execution on the worker lane, finalize — with and without the journal,
 // so the per-chunk checkpoint cost is visible next to the compute it
-// amortizes against.
+// amortizes against. The Monte Carlo cases (250 and 1000 chunks of 32
+// samples) show how that cost scales with the chunk count.
 func BenchmarkJobThroughput(b *testing.B) {
-	run := func(b *testing.B, cfg Config) {
+	run := func(b *testing.B, cfg Config, req SubmitRequest) {
 		m, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -27,7 +29,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 		defer m.Stop()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v, err := m.Submit(benchSweep())
+			v, err := m.Submit(req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -43,9 +45,21 @@ func BenchmarkJobThroughput(b *testing.B) {
 		b.StopTimer()
 		st := m.Stats()
 		b.ReportMetric(float64(st.ChunksRun)/float64(b.N), "chunks/job")
+		b.ReportMetric(float64(st.JournalBytes)/float64(b.N), "journalB/job")
 	}
-	b.Run("inmem", func(b *testing.B) { run(b, Config{}) })
-	b.Run("journaled", func(b *testing.B) { run(b, Config{Dir: b.TempDir()}) })
+	b.Run("inmem", func(b *testing.B) { run(b, Config{}, benchSweep()) })
+	b.Run("journaled", func(b *testing.B) { run(b, Config{Dir: b.TempDir()}, benchSweep()) })
+	for _, chunks := range []int{250, 1000} {
+		req := SubmitRequest{
+			Type: TypeMonteCarlo,
+			MonteCarlo: &MonteCarloParams{
+				Samples: chunks * mcChunkSamples, Seed: 7,
+				WidthSigma: 0.05, ThickSigma: 0.05, ILDSigma: 0.05, KdSigma: 0.05,
+			},
+		}
+		b.Run(fmt.Sprintf("mc%d/inmem", chunks), func(b *testing.B) { run(b, Config{}, req) })
+		b.Run(fmt.Sprintf("mc%d/journaled", chunks), func(b *testing.B) { run(b, Config{Dir: b.TempDir()}, req) })
+	}
 }
 
 // BenchmarkJobRetryOverhead pins the happy-path cost of the chunk

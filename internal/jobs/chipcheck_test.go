@@ -179,8 +179,9 @@ func TestChipcheckCrashResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jf.Status != StatusQueued || bitCount(jf.Bitmap, jf.Chunks) != 2 {
-		t.Fatalf("journal after crash: status %s, %d/%d chunks", jf.Status, bitCount(jf.Bitmap, jf.Chunks), jf.Chunks)
+	if jf.Status != StatusQueued || bitCount(jf.Bitmap, jf.Chunks) != 2 || jf.Valid != len(data) {
+		t.Fatalf("journal after crash: status %s, %d/%d chunks, %d/%d bytes replayed",
+			jf.Status, bitCount(jf.Bitmap, jf.Chunks), jf.Chunks, jf.Valid, len(data))
 	}
 
 	m2 := newTestManager(t, Config{Dir: dir})

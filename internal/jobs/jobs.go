@@ -24,15 +24,17 @@
 //     execution was sliced — including across a crash.
 //
 //   - Durable progress. With a journal directory configured, every job
-//     owns one journal file (snapcodec framing: magic, version, CRC,
-//     atomic temp+fsync+rename writes) holding the params, a SHA-256
-//     params hash, the completed-chunk bitmap, and the completed chunks'
-//     result blobs. A restarted manager rescans the directory, verifies
-//     the hash, and re-enqueues unfinished jobs with their completed
-//     chunks already in hand: a crashed daemon resumes mid-job instead
-//     of recomputing, and the resumed result is byte-identical to an
-//     uninterrupted run. A corrupt or truncated journal is quarantined
-//     (renamed *.corrupt) and counted — it never kills the boot.
+//     owns one append-only journal file (see journal.go): a
+//     snapcodec-framed header with the params and a SHA-256 params
+//     hash, then one CRC-framed record per completed chunk blob or
+//     quarantine decision, appended and fsynced at each checkpoint. A
+//     restarted manager rescans the directory, verifies the hash, and
+//     re-enqueues unfinished jobs with their completed chunks already in
+//     hand: a crashed daemon resumes mid-job instead of recomputing, and
+//     the resumed result is byte-identical to an uninterrupted run. A
+//     journal whose header is corrupt is quarantined (renamed *.corrupt)
+//     and counted — it never kills the boot; a torn tail costs only the
+//     torn record.
 //
 //   - Two-lane weighted scheduling. Jobs land in an "interactive" or
 //     "bulk" lane (bounded queues; overflow is an ErrQueueFull the

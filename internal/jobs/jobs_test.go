@@ -454,8 +454,9 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jf.Status != StatusQueued || bitCount(jf.Bitmap, jf.Chunks) != 2 {
-		t.Fatalf("journal after crash: status %s, %d/%d chunks", jf.Status, bitCount(jf.Bitmap, jf.Chunks), jf.Chunks)
+	if jf.Status != StatusQueued || bitCount(jf.Bitmap, jf.Chunks) != 2 || jf.Valid != len(data) {
+		t.Fatalf("journal after crash: status %s, %d/%d chunks, %d/%d bytes replayed",
+			jf.Status, bitCount(jf.Bitmap, jf.Chunks), jf.Chunks, jf.Valid, len(data))
 	}
 
 	// Restart: the job resumes (2 chunks restored) and finishes.
@@ -571,13 +572,13 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "jgarbage.job"), []byte("not a journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A validly framed journal whose payload bits were flipped.
-	good, err := encodeJournal(&journalFile{
+	// A validly framed journal whose header payload bits were flipped.
+	flipped := &journalFile{journalHeader: journalHeader{
 		ID: "jflippd", Type: TypeSweep, Lane: LaneBulk,
 		Params: []byte(`{"level":4}`), ParamsSum: paramsSum([]byte(`{"level":4}`)),
-		Submitted: time.Now(), Status: StatusQueued,
-		Chunks: 1, Bitmap: make([]uint64, 1), ChunkData: make([][]byte, 1),
-	})
+		Submitted: time.Now(), Status: StatusQueued, Chunks: 1,
+	}}
+	good, err := encodeJournal(flipped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,12 +586,22 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "jflippd.job"), good, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A journal in format version 1 — one gob frame holding every chunk
+	// blob, as older binaries wrote it — is quarantined, never resumed.
+	flipped.ID, flipped.Bitmap, flipped.ChunkData = "jformat1", make([]uint64, 1), [][]byte{[]byte("blob")}
+	bitSet(flipped.Bitmap, 0)
+	if err := os.WriteFile(filepath.Join(dir, "jformat1.job"), v1Frame(t, flipped), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	m := newTestManager(t, Config{Dir: dir})
-	if st := m.Stats(); st.CorruptBoot != 2 {
-		t.Fatalf("CorruptBoot = %d, want 2", st.CorruptBoot)
+	if st := m.Stats(); st.CorruptBoot != 3 || st.ResumedBoot != 0 {
+		t.Fatalf("CorruptBoot = %d, ResumedBoot = %d, want 3, 0", st.CorruptBoot, st.ResumedBoot)
 	}
-	for _, name := range []string{"jgarbage.job.corrupt", "jflippd.job.corrupt"} {
+	if _, err := m.Get("jformat1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("format-1 journal restored a job: %v", err)
+	}
+	for _, name := range []string{"jgarbage.job.corrupt", "jflippd.job.corrupt", "jformat1.job.corrupt"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("quarantine file %s: %v", name, err)
 		}
@@ -602,6 +613,123 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	}
 	if fin := waitDone(t, m, v.ID); fin.Status != StatusDone {
 		t.Fatalf("post-quarantine job: %s", fin.Status)
+	}
+}
+
+// TestTerminalJobKeepsOutcomeAcrossGridChange: a finished job whose
+// journal was written on a different chunk grid (a binary that sized
+// its chunks differently) must come back finished with its result, not
+// be reset and run again.
+func TestTerminalJobKeepsOutcomeAcrossGridChange(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := m1.Submit(mcReq(70)) // 3 chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, m1, v.ID); fin.Status != StatusDone {
+		t.Fatalf("run: %s (%q)", fin.Status, fin.Error)
+	}
+	want, err := m1.Result(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Stop()
+
+	// Rewrite the finished journal as if it came from a 2-chunk grid.
+	path := journalPath(dir, v.ID)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jf, err := decodeJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jf.Status != StatusDone || jf.Chunks != 3 || jf.ChunkData != nil {
+		t.Fatalf("finished journal: status %s, %d chunks, %d blobs", jf.Status, jf.Chunks, len(jf.ChunkData))
+	}
+	jf.Chunks, jf.Bitmap = 2, []uint64{0b11}
+	if data, err = encodeJournal(&jf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := newTestManager(t, Config{Dir: dir})
+	cur, err := m2.Get(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Status != StatusDone || cur.Done != 2 {
+		t.Fatalf("finished job came back %s with %d/%d chunks", cur.Status, cur.Done, cur.Chunks)
+	}
+	got, err := m2.Result(v.ID)
+	if err != nil {
+		t.Fatalf("finished job lost its result: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("result changed across the restart")
+	}
+	if st := m2.Stats(); st.ChunksRun != 0 || st.ResumedBoot != 0 {
+		t.Fatalf("restart ran %d chunks, resumed %d jobs", st.ChunksRun, st.ResumedBoot)
+	}
+}
+
+// TestJournalBytesLinear: a 1000-chunk Monte Carlo job's journal bytes
+// stay within a small constant factor of its chunk blobs — each
+// checkpoint appends only its own chunk — and the finished journal
+// keeps none of them.
+func TestJournalBytesLinear(t *testing.T) {
+	const chunks = 1000
+	req := mcReq(chunks * mcChunkSamples)
+	params, err := canonicalParams(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := newTask(req.Type, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if task.Chunks() != chunks {
+		t.Fatalf("%d chunks, want %d", task.Chunks(), chunks)
+	}
+	blobBytes := 0
+	for c := 0; c < chunks; c++ {
+		blob, err := task.Run(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobBytes += len(blob)
+	}
+
+	dir := t.TempDir()
+	m := newTestManager(t, Config{Dir: dir})
+	v, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, m, v.ID); fin.Status != StatusDone {
+		t.Fatalf("run: %s (%q)", fin.Status, fin.Error)
+	}
+	m.Stop() // the worker exits only after the terminal rewrite
+	st := m.Stats()
+	if st.Checkpoints < chunks {
+		t.Fatalf("%d checkpoints for %d chunks", st.Checkpoints, chunks)
+	}
+	if st.JournalBytes > 2*uint64(blobBytes) {
+		t.Fatalf("journal bytes %d for %d bytes of chunk blobs: more than 2x", st.JournalBytes, blobBytes)
+	}
+	fi, err := os.Stat(journalPath(dir, v.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > int64(blobBytes)/10 {
+		t.Fatalf("finished journal is %d bytes for %d bytes of blobs: not compacted", fi.Size(), blobBytes)
 	}
 }
 

@@ -37,10 +37,6 @@ type Config struct {
 	// InteractiveWeight is the scheduler ratio: this many interactive
 	// picks for every bulk pick, work-conserving both ways (default 3).
 	InteractiveWeight int
-	// CheckpointEvery is the journal cadence in chunks (default 1:
-	// checkpoint after every chunk — chunks are sized so the solver work
-	// dwarfs the write).
-	CheckpointEvery int
 	// DefaultDeadline / MaxDeadline bound one run attempt's compute
 	// budget (defaults 15m / 2h). Client-requested deadlines are
 	// clamped to MaxDeadline.
@@ -89,9 +85,6 @@ func (cfg Config) Defaults() Config {
 	}
 	if cfg.InteractiveWeight <= 0 {
 		cfg.InteractiveWeight = 3
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
 	}
 	if cfg.DefaultDeadline <= 0 {
 		cfg.DefaultDeadline = 15 * time.Minute
@@ -165,6 +158,14 @@ type job struct {
 	// Journaled the moment each entry is appended, so resume reproduces
 	// quarantine decisions bit-identically.
 	failed []ChunkFailure
+	// The journal's durable extent: logLen bytes of the job's log are
+	// known to be on disk (0: the next write rewrites the whole file),
+	// holding the chunks set in logged and the first loggedFailed
+	// manifest entries. Only the goroutine writing the job's journal
+	// changes them, under the Manager's mutex.
+	logLen       int64
+	logged       []uint64
+	loggedFailed int
 	// retry is the per-job retry budget, refreshed at the start of every
 	// run attempt (a resume gets a fresh budget — the journal records
 	// outcomes, not spent retries).
@@ -216,11 +217,14 @@ type Stats struct {
 	CheckpointSkips  uint64 `json:"checkpointSkips"`
 	CheckpointErrors uint64 `json:"checkpointErrors"`
 	Evicted          uint64 `json:"evicted"`
+	// JournalBytes counts the bytes handed to journal writes: headers,
+	// appended chunk and quarantine records, terminal rewrites.
+	JournalBytes uint64 `json:"journalBytes"`
 	// ResumedBoot / CorruptBoot count what the boot-time journal scan
 	// found: jobs re-enqueued with prior progress, and journals
 	// quarantined as *.corrupt. TornRecoveredBoot counts journals whose
-	// current file was torn but whose .prev rotation copy resumed the
-	// job from the previous checkpoint.
+	// log ended in a torn or corrupt record: the job kept the records
+	// before it and the tail was cut off.
 	ResumedBoot       uint64 `json:"resumedBoot"`
 	CorruptBoot       uint64 `json:"corruptBoot"`
 	TornRecoveredBoot uint64 `json:"tornRecoveredBoot"`
@@ -263,6 +267,7 @@ type Manager struct {
 	checkpoints      atomic.Uint64
 	checkpointSkips  atomic.Uint64
 	checkpointErrors atomic.Uint64
+	journalBytes     atomic.Uint64
 	evicted          atomic.Uint64
 	resumedBoot      uint64
 	corruptBoot      uint64
@@ -288,8 +293,8 @@ type Manager struct {
 // — when New returns, GET /v1/jobs/{id} already sees every journaled
 // job — but boot never fails on journal contents: corrupt files are
 // quarantined and counted, params a newer binary rejects are
-// quarantined too, and a chunk-grid retune resets that job's progress
-// rather than resuming into the wrong boundaries.
+// quarantined too, and a chunk-grid retune resets an unfinished job's
+// progress rather than resuming into the wrong boundaries.
 func New(cfg Config) (*Manager, error) {
 	cfg = cfg.Defaults()
 	if cfg.Dir != "" {
@@ -311,7 +316,7 @@ func New(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		m.corruptBoot = uint64(scan.corrupted)
-		m.tornRecovered = uint64(scan.tornRecovered)
+		m.tornRecovered = uint64(scan.tornTails)
 		for i := range scan.files {
 			m.restore(&scan.files[i])
 		}
@@ -342,6 +347,7 @@ func (m *Manager) restore(jf *journalFile) {
 		deadline: jf.Deadline, submitted: jf.Submitted, task: task,
 		status: jf.Status, chunks: jf.Chunks, bitmap: jf.Bitmap,
 		data: jf.ChunkData, result: jf.Result, errMsg: jf.ErrMsg,
+		logLen: int64(jf.Valid), logged: append([]uint64(nil), jf.Bitmap...),
 		done: make(chan struct{}),
 	}
 	if len(jf.Manifest) > 0 {
@@ -349,18 +355,21 @@ func (m *Manager) restore(jf *journalFile) {
 		// bitmap; re-decoding cannot fail here.
 		j.failed, _ = DecodeManifest(jf.Manifest, jf.Chunks)
 	}
-	if want := task.Chunks(); want != jf.Chunks {
+	j.loggedFailed = len(j.failed)
+	if want := task.Chunks(); want != jf.Chunks && !j.status.Terminal() {
 		// The chunk grid changed between binaries (a retuned chunk size
 		// shows here only as a different count). Progress is sliced on
 		// the old boundaries, so it cannot be reused — but the params
 		// still validate, so restart the job from zero rather than
 		// losing it. Quarantine decisions are sliced on the same
-		// boundaries, so they reset too.
+		// boundaries, so they reset too, and the next write rewrites the
+		// journal on the new grid. A finished job keeps its outcome: its
+		// result no longer depends on the grid.
 		j.chunks = want
 		j.bitmap = make([]uint64, bitmapWords(want))
 		j.data = make([][]byte, want)
 		j.failed = nil
-		j.status = StatusQueued
+		j.logLen, j.logged, j.loggedFailed = 0, nil, 0
 	}
 	switch {
 	case j.status.Terminal():
@@ -584,8 +593,7 @@ func (m *Manager) Cancel(id string) error {
 		}
 		return nil
 	default: // queued: lazy queue removal — dequeue skips non-queued jobs
-		j.status = StatusCancelled
-		close(j.done)
+		terminalLocked(j, StatusCancelled, "")
 		m.mu.Unlock()
 		m.persistTerminal(j)
 		return nil
@@ -618,6 +626,7 @@ func (m *Manager) Stats() Stats {
 	st.Checkpoints = m.checkpoints.Load()
 	st.CheckpointSkips = m.checkpointSkips.Load()
 	st.CheckpointErrors = m.checkpointErrors.Load()
+	st.JournalBytes = m.journalBytes.Load()
 	st.Evicted = m.evicted.Load()
 	st.ResumedBoot = m.resumedBoot
 	st.CorruptBoot = m.corruptBoot
@@ -751,14 +760,13 @@ func (m *Manager) runJob(j *job) {
 }
 
 // runChunks executes every incomplete chunk in index order under the
-// chunk supervisor, checkpointing on the configured cadence. Chunk
+// chunk supervisor, checkpointing after every chunk. Chunk
 // results are pure functions of (params, index), so "in index order" is
 // an implementation convenience, not a correctness requirement — the
 // journal would be just as valid with holes. Chunks quarantined by the
 // supervisor (this run or a resumed one) are skipped, their quarantine
 // journaled the moment it is decided.
 func (m *Manager) runChunks(ctx context.Context, j *job) error {
-	since := 0
 	quarantined := make(map[int]bool, len(j.failed))
 	m.mu.Lock()
 	for i := range j.failed {
@@ -786,17 +794,13 @@ func (m *Manager) runChunks(ctx context.Context, j *job) error {
 			m.chunksQuarantined.Add(1)
 			log.Printf("jobs: %s chunk %d quarantined after %d attempts: %s", j.id, c, fail.Attempts, fail.Error)
 			m.checkpoint(m.metaCtx(ctx, j.id, c), j)
-			since = 0
 		default:
 			m.mu.Lock()
 			bitSet(j.bitmap, c)
 			j.data[c] = blob
 			m.mu.Unlock()
 			m.chunksRun.Add(1)
-			if since++; since >= m.cfg.CheckpointEvery {
-				m.checkpoint(m.metaCtx(ctx, j.id, c), j)
-				since = 0
-			}
+			m.checkpoint(m.metaCtx(ctx, j.id, c), j)
 		}
 	}
 	return nil
@@ -936,11 +940,20 @@ func (m *Manager) finalize(j *job) {
 // terminal moves j to a final state and persists it.
 func (m *Manager) terminal(j *job, st Status, errMsg string) {
 	m.mu.Lock()
-	j.status = st
-	j.errMsg = errMsg
-	close(j.done)
+	terminalLocked(j, st, errMsg)
 	m.mu.Unlock()
 	m.persistTerminal(j)
+}
+
+// terminalLocked moves j to a final state and releases its chunk blobs:
+// a finished job answers from its result or error alone, and its
+// journal compacts to a header without them. The Manager's mutex must
+// be held.
+func terminalLocked(j *job, st Status, errMsg string) {
+	j.status = st
+	j.errMsg = errMsg
+	j.data = nil
+	close(j.done)
 }
 
 // checkpoint writes j's journal with current progress. A checkpoint
@@ -1007,55 +1020,87 @@ func (m *Manager) writeDurable(j *job) error {
 	return nil
 }
 
-// writeJournal snapshots j under the lock and writes it atomically
-// outside it (blobs are immutable once set, so the slice copies are
-// safe to encode unlocked).
+// writeJournal brings j's journal up to date. A live job whose log is
+// durable gets an append: the records for the chunks and quarantine
+// decisions that are new since the last durable write, then one fsync.
+// Everything else — the submit, a log that a failed write or a
+// chunk-grid reset left stale, a terminal job — gets one atomic rewrite
+// of the whole file. j is snapshotted under the lock and written
+// outside it (blobs are immutable once set, and manifest entries once
+// appended).
 func (m *Manager) writeJournal(j *job) error {
 	if m.cfg.Dir == "" {
 		return nil
 	}
 	m.mu.Lock()
 	jf := journalFile{
-		ID: j.id, Type: j.typ, Lane: j.lane,
-		Params: j.params, ParamsSum: paramsSum(j.params),
-		Deadline: j.deadline, Submitted: j.submitted,
-		Status: j.status, Chunks: j.chunks,
-		Bitmap:    append([]uint64(nil), j.bitmap...),
-		ChunkData: append([][]byte(nil), j.data...),
-		Result:    j.result, ErrMsg: j.errMsg,
+		journalHeader: journalHeader{
+			ID: j.id, Type: j.typ, Lane: j.lane,
+			Params: j.params, ParamsSum: paramsSum(j.params),
+			Deadline: j.deadline, Submitted: j.submitted,
+			Status: j.status, Chunks: j.chunks,
+			Bitmap: append([]uint64(nil), j.bitmap...),
+			Result: j.result, ErrMsg: j.errMsg,
+		},
+		ChunkData: j.data,
 	}
-	if len(j.failed) > 0 {
-		jf.Manifest = EncodeManifest(j.failed)
-	}
+	failed := j.failed
+	off, logged, loggedFailed := j.logLen, j.logged, j.loggedFailed
+	m.mu.Unlock()
 	if jf.Status == StatusRunning {
 		// A journal never claims "running": the process writing it may
 		// die the next instant, and on disk that state means "queued
 		// with progress".
 		jf.Status = StatusQueued
 	}
-	m.mu.Unlock()
-	data, err := encodeJournal(&jf)
-	if err != nil {
-		return err
+	var data []byte
+	if off > 0 && !jf.Status.Terminal() {
+		data = appendRecords(nil, jf.Bitmap, logged, jf.ChunkData, failed[loggedFailed:])
+		if len(data) == 0 {
+			return nil // nothing new since the last durable write
+		}
+	} else {
+		off = 0
+		if len(failed) > 0 {
+			jf.Manifest = EncodeManifest(failed)
+		}
+		var err error
+		if data, err = encodeJournal(&jf); err != nil {
+			return err
+		}
 	}
 	if faultinject.Active() {
 		// SiteJobsJournalWrite simulates a failing disk (ENOSPC, IO error)
 		// at the exact point the bytes would hit it.
 		ictx := faultinject.WithMeta(context.Background(), j.id)
 		if err := faultinject.Inject(ictx, faultinject.SiteJobsJournalWrite); err != nil {
+			m.setLogged(j, 0, nil, 0)
 			return fmt.Errorf("jobs: journal write %s: %w", j.id, err)
 		}
 	}
+	m.journalBytes.Add(uint64(len(data)))
 	path := journalPath(m.cfg.Dir, j.id)
-	// Rotate the current journal to .prev before replacing it: if this
-	// write (or a later one) leaves a torn frame, boot falls back to the
-	// previous checkpoint instead of quarantining the whole journal. A
-	// hard link is a metadata-only snapshot of the old bytes; best-effort
-	// because the fallback is an optimization, not a correctness need.
-	prev := prevJournalPath(m.cfg.Dir, j.id)
-	_ = os.Remove(prev)
-	_ = os.Link(path, prev)
-	return snapcodec.WriteFileAtomic(path, data)
+	var err error
+	if off > 0 {
+		err = appendJournal(path, off, data)
+	} else {
+		err = snapcodec.WriteFileAtomic(path, data)
+	}
+	if err != nil {
+		// The file may now end in a partial record; rewrite it whole next
+		// time rather than append after bytes replay would stop at.
+		m.setLogged(j, 0, nil, 0)
+		return err
+	}
+	m.setLogged(j, off+int64(len(data)), jf.Bitmap, len(failed))
+	return nil
+}
+
+// setLogged records j's durable journal extent after a write.
+func (m *Manager) setLogged(j *job, logLen int64, logged []uint64, loggedFailed int) {
+	m.mu.Lock()
+	j.logLen, j.logged, j.loggedFailed = logLen, logged, loggedFailed
+	m.mu.Unlock()
 }
 
 func (m *Manager) removeJournal(id string) {
@@ -1063,5 +1108,4 @@ func (m *Manager) removeJournal(id string) {
 		return
 	}
 	_ = os.Remove(journalPath(m.cfg.Dir, id))
-	_ = os.Remove(prevJournalPath(m.cfg.Dir, id))
 }

@@ -161,9 +161,10 @@ type MonteCarloParams struct {
 // the determinism story only through the journal (chunk boundaries are
 // params-independent), so retuning it between releases only invalidates
 // in-flight journals (chunk-count mismatch → progress reset), never
-// results. ~32 samples ≈ a few hundred ms of solver work per chunk:
-// coarse enough that checkpoint I/O is noise, fine enough that a crash
-// loses little and cancellation is responsive.
+// results. 32 samples are about 0.2 ms of kernel work per chunk, about
+// as long as the chunk's journal append and fsync: checkpoint I/O is
+// not noise at this size, but a crash loses little and cancellation is
+// responsive.
 const mcChunkSamples = 32
 
 // mcMaxSamples bounds one job's total work (~tens of minutes at the

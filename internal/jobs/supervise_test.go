@@ -530,10 +530,12 @@ func TestSubmitJournalFailureRejectedByDefault(t *testing.T) {
 	}
 }
 
-// TestTornJournalResumesFromPrev: a journal whose current file is cut
-// mid-frame must resume from the .prev rotation copy — costing at most
-// one checkpoint of progress — never be quarantined wholesale.
-func TestTornJournalResumesFromPrev(t *testing.T) {
+// TestTornJournalTailResumes: a crash mid-append leaves a torn final
+// record. Boot must keep the records before it, cut the torn bytes off
+// before anything is appended after them — so the next run's records
+// are reachable — and the job must finish with result bytes identical
+// to an uninterrupted run.
+func TestTornJournalTailResumes(t *testing.T) {
 	req := mcReq(3 * mcChunkSamples)
 
 	clean := newTestManager(t, Config{Dir: t.TempDir()})
@@ -549,19 +551,155 @@ func TestTornJournalResumesFromPrev(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stall chunk 2 so the journal holds chunks 0+1, then kill.
+	// runUntilChunk2 boots a manager on dir, lets it journal everything
+	// before chunk 2, stalls chunk 2, and kills it there.
+	dir := t.TempDir()
+	runUntilChunk2 := func(submit bool) (*Manager, string) {
+		t.Helper()
+		stalled := make(chan struct{})
+		var once sync.Once
+		cancel := faultinject.Set(faultinject.SiteJobsStep, func(ctx context.Context) error {
+			if metaChunk(faultinject.Meta(ctx), 2) {
+				once.Do(func() { close(stalled) })
+				<-ctx.Done()
+				return ctx.Err()
+			}
+			return nil
+		})
+		defer cancel()
+		m, err := New(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := ""
+		if submit {
+			v, err := m.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = v.ID
+		}
+		select {
+		case <-stalled:
+		case <-time.After(time.Minute):
+			t.Fatal("job never reached chunk 2")
+		}
+		m.Kill()
+		return m, id
+	}
+	readJournal := func(path string) ([]byte, journalFile) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jf, err := decodeJournal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, jf
+	}
+
+	_, id := runUntilChunk2(true)
+	path := journalPath(dir, id)
+	data, jf := readJournal(path)
+	if jf.Valid != len(data) || bitCount(jf.Bitmap, jf.Chunks) != 2 {
+		t.Fatalf("journal before the tear: %d/%d bytes, %d chunks", jf.Valid, len(data), bitCount(jf.Bitmap, jf.Chunks))
+	}
+	// Tear chunk 1's record, as a power cut mid-append would.
+	torn := data[:len(data)-7]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := decodeJournal(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bitCount(cut.Bitmap, cut.Chunks) != 1 || !bitGet(cut.Bitmap, 0) {
+		t.Fatalf("torn journal replays chunks %b, want chunk 0 alone", cut.Bitmap[0])
+	}
+
+	// Second run: boot cuts the tail, reruns chunk 1 and appends it where
+	// the torn record began, then stalls at chunk 2 again.
+	m2, _ := runUntilChunk2(false)
+	if st := m2.Stats(); st.TornRecoveredBoot != 1 || st.CorruptBoot != 0 || st.ResumedBoot != 1 {
+		t.Fatalf("boot stats: torn %d, corrupt %d, resumed %d; want 1, 0, 1",
+			st.TornRecoveredBoot, st.CorruptBoot, st.ResumedBoot)
+	}
+	data, jf = readJournal(path)
+	if jf.Valid != len(data) || bitCount(jf.Bitmap, jf.Chunks) != 2 {
+		t.Fatalf("journal after the cut and an append: %d/%d bytes replayed, %d chunks",
+			jf.Valid, len(data), bitCount(jf.Bitmap, jf.Chunks))
+	}
+
+	m3 := newTestManager(t, Config{Dir: dir})
+	fin := waitDone(t, m3, id)
+	if fin.Status != StatusDone {
+		t.Fatalf("resumed run: %s (%s)", fin.Status, fin.Error)
+	}
+	got, err := m3.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("torn-journal resume produced different result bytes")
+	}
+	if st := m3.Stats(); st.TornRecoveredBoot != 0 || st.ChunksRun != 1 {
+		t.Fatalf("final run: torn %d, ran %d chunks; want 0, 1 (chunk 2 alone)", st.TornRecoveredBoot, st.ChunksRun)
+	}
+}
+
+// TestFailedAppendNeverStrandsRecords: an append that fails after part
+// of its bytes reached the file (ENOSPC mid-write) must not leave later
+// records behind bytes replay stops at. The next write rewrites the
+// journal, so a crash after it replays every chunk that write covered,
+// and the resumed result is byte-identical to an uninterrupted run.
+func TestFailedAppendNeverStrandsRecords(t *testing.T) {
+	req := mcReq(4 * mcChunkSamples)
+	clean := newTestManager(t, Config{Dir: t.TempDir()})
+	cv, err := clean.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, clean, cv.ID); fin.Status != StatusDone {
+		t.Fatalf("clean run: %s", fin.Status)
+	}
+	want, err := clean.Result(cv.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Journal writes: 1 the submit header, 2 chunk 0's append, 3 chunk
+	// 1's append — which leaves a partial record on disk and fails.
+	dir := t.TempDir()
+	var writes atomic.Int64
+	cancelWrite := faultinject.Set(faultinject.SiteJobsJournalWrite, func(ctx context.Context) error {
+		if writes.Add(1) != 3 {
+			return nil
+		}
+		f, err := os.OpenFile(journalPath(dir, faultinject.Meta(ctx)), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if _, err := f.Write(appendRecord(nil, recChunk, 1, []byte("partial"))[:9]); err != nil {
+			return err
+		}
+		return errors.New("no space left on device")
+	})
+	defer cancelWrite()
 	stalled := make(chan struct{})
 	var once sync.Once
-	cancel := faultinject.Set(faultinject.SiteJobsStep, func(ctx context.Context) error {
-		if metaChunk(faultinject.Meta(ctx), 2) {
+	cancelStep := faultinject.Set(faultinject.SiteJobsStep, func(ctx context.Context) error {
+		if metaChunk(faultinject.Meta(ctx), 3) {
 			once.Do(func() { close(stalled) })
 			<-ctx.Done()
 			return ctx.Err()
 		}
 		return nil
 	})
-	dir := t.TempDir()
-	m, err := New(Config{Dir: dir})
+	cfg := Config{Dir: dir, JournalReprobe: time.Nanosecond} // chunk 2's checkpoint probes
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,32 +710,29 @@ func TestTornJournalResumesFromPrev(t *testing.T) {
 	select {
 	case <-stalled:
 	case <-time.After(time.Minute):
-		t.Fatal("job never reached chunk 2")
+		t.Fatal("job never reached chunk 3")
 	}
 	m.Kill()
-	cancel()
+	cancelStep()
+	cancelWrite()
+	if st := m.Stats(); st.CheckpointErrors != 1 || st.JournalRecoveries != 1 {
+		t.Fatalf("checkpoint errors %d, recoveries %d; want 1, 1", st.CheckpointErrors, st.JournalRecoveries)
+	}
 
-	// Tear the current journal mid-frame.
-	path := journalPath(dir, v.ID)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(journalPath(dir, v.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
+	jf, err := decodeJournal(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(prevJournalPath(dir, v.ID)); err != nil {
-		t.Fatalf("no .prev rotation copy: %v", err)
+	if jf.Valid != len(data) || jf.Bitmap[0] != 0b111 {
+		t.Fatalf("journal after the failed append: %d/%d bytes replayed, chunks %b; want all, 0b111",
+			jf.Valid, len(data), jf.Bitmap[0])
 	}
 
 	m2 := newTestManager(t, Config{Dir: dir})
-	st := m2.Stats()
-	if st.TornRecoveredBoot != 1 {
-		t.Fatalf("TornRecoveredBoot = %d, want 1 (corrupt=%d)", st.TornRecoveredBoot, st.CorruptBoot)
-	}
-	if st.CorruptBoot != 0 {
-		t.Fatalf("torn journal was quarantined wholesale (corrupt=%d)", st.CorruptBoot)
-	}
 	fin := waitDone(t, m2, v.ID)
 	if fin.Status != StatusDone {
 		t.Fatalf("resumed run: %s (%s)", fin.Status, fin.Error)
@@ -607,35 +742,9 @@ func TestTornJournalResumesFromPrev(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("torn-journal resume produced different result bytes")
+		t.Fatal("resume after a failed append produced different result bytes")
 	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("torn file not kept for post-mortem: %v", err)
-	}
-}
-
-// TestJournalTruncationEveryPrefix: every strict prefix of a valid
-// journal must decode as ErrJournalCorrupt — no prefix length panics or
-// passes.
-func TestJournalTruncationEveryPrefix(t *testing.T) {
-	jf := journalFile{
-		ID: "j0123456789abcdef", Type: TypeSweep, Lane: LaneBulk,
-		Params: []byte(`{"level":4,"points":40}`),
-		Status: StatusQueued, Chunks: 3,
-		Bitmap:    make([]uint64, 1),
-		ChunkData: make([][]byte, 3),
-	}
-	jf.ParamsSum = paramsSum(jf.Params)
-	data, err := encodeJournal(&jf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeJournal(data); err != nil {
-		t.Fatalf("full journal does not decode: %v", err)
-	}
-	for n := 0; n < len(data); n++ {
-		if _, err := decodeJournal(data[:n]); !errors.Is(err, ErrJournalCorrupt) {
-			t.Fatalf("prefix %d/%d: err = %v, want ErrJournalCorrupt", n, len(data), err)
-		}
+	if st := m2.Stats(); st.ChunksRun != 1 {
+		t.Fatalf("resume ran %d chunks, want 1 (chunk 3 alone)", st.ChunksRun)
 	}
 }

@@ -1,8 +1,9 @@
 // Package snapcodec is the shared on-disk framing for crash-safe state
-// files: the cache snapshots of internal/server (PR 4) and the per-job
-// checkpoint journals of internal/jobs both persist a gob payload behind
-// the same defensive header, and both write through the same
-// atomic-rename discipline.
+// files: the cache snapshots of internal/server persist one gob payload
+// behind this defensive header, and the per-job journals of
+// internal/jobs frame their gob header with it (their chunk records
+// follow it, see UnframePrefix). Both write whole files through the
+// same atomic-rename discipline.
 //
 // File format, designed so a half-written or bit-flipped file is
 // detected before a single byte reaches the payload decoder:
@@ -13,9 +14,10 @@
 //	[4]  CRC-32 (IEEE) of the payload
 //	[n]  payload
 //
-// Writes are atomic: temp file in the same directory, fsync, rename.
-// Readers therefore only ever observe a complete previous file or none
-// at all; the header checks are defense against torn storage (crash
+// Writes are atomic: temp file in the same directory, fsync, rename,
+// fsync of the directory. Readers therefore only ever observe a complete
+// previous file or none at all, and a file that was written survives
+// power loss; the header checks are defense against torn storage (crash
 // mid-rename on weaker filesystems, manual copies, truncation).
 package snapcodec
 
@@ -48,35 +50,51 @@ func Frame(magic [8]byte, version uint32, payload []byte) []byte {
 }
 
 // Unframe validates data's header against the expected magic, version
-// and payload cap, and returns the checksummed payload. Every failure
-// wraps ErrCorrupt; arbitrary input errors, never panics.
+// and payload cap, and returns the checksummed payload; data must hold
+// exactly one frame. Every failure wraps ErrCorrupt; arbitrary input
+// errors, never panics.
 func Unframe(magic [8]byte, version uint32, maxPayload int, data []byte) ([]byte, error) {
-	if len(data) < HeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes, want at least the %d-byte header", ErrCorrupt, len(data), HeaderLen)
+	payload, rest, err := UnframePrefix(magic, version, maxPayload, data)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(data[:8], magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:8])
-	}
-	if v := binary.BigEndian.Uint32(data[8:12]); v != version {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, version)
-	}
-	n := binary.BigEndian.Uint64(data[12:20])
-	if n > uint64(maxPayload) {
-		return nil, fmt.Errorf("%w: payload length %d exceeds cap %d", ErrCorrupt, n, maxPayload)
-	}
-	if uint64(len(data)-HeaderLen) != n {
-		return nil, fmt.Errorf("%w: payload %d bytes, header says %d", ErrCorrupt, len(data)-HeaderLen, n)
-	}
-	payload := data[HeaderLen:]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.BigEndian.Uint32(data[20:24]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after a %d-byte payload", ErrCorrupt, len(rest), len(payload))
 	}
 	return payload, nil
 }
 
+// UnframePrefix is Unframe for a frame that starts data: it returns the
+// checksummed payload and the bytes that follow the frame, for owners
+// that append their own records after a framed header.
+func UnframePrefix(magic [8]byte, version uint32, maxPayload int, data []byte) (payload, rest []byte, err error) {
+	if len(data) < HeaderLen {
+		return nil, nil, fmt.Errorf("%w: %d bytes, want at least the %d-byte header", ErrCorrupt, len(data), HeaderLen)
+	}
+	if !bytes.Equal(data[:8], magic[:]) {
+		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:8])
+	}
+	if v := binary.BigEndian.Uint32(data[8:12]); v != version {
+		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, version)
+	}
+	n := binary.BigEndian.Uint64(data[12:20])
+	if n > uint64(maxPayload) {
+		return nil, nil, fmt.Errorf("%w: payload length %d exceeds cap %d", ErrCorrupt, n, maxPayload)
+	}
+	if uint64(len(data)-HeaderLen) < n {
+		return nil, nil, fmt.Errorf("%w: payload %d bytes, header says %d", ErrCorrupt, len(data)-HeaderLen, n)
+	}
+	payload, rest = data[HeaderLen:HeaderLen+int(n)], data[HeaderLen+int(n):]
+	if sum := crc32.ChecksumIEEE(payload); sum != binary.BigEndian.Uint32(data[20:24]) {
+		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return payload, rest, nil
+}
+
 // WriteFileAtomic writes data to path via a same-directory temp file,
-// fsync, and rename, so path always holds either the old complete file
-// or the new one.
+// fsync, rename and an fsync of the directory, so path always holds
+// either the old complete file or the new one, and the new one's
+// directory entry survives power loss.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -97,6 +115,23 @@ func WriteFileAtomic(path string, data []byte) error {
 	if werr != nil {
 		os.Remove(tmp)
 		return werr
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the renames and creates inside it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("snapcodec: sync dir %s: %w", dir, err)
 	}
 	return nil
 }

@@ -55,6 +55,25 @@ func TestUnframeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestUnframePrefix: a frame followed by an owner's own bytes yields the
+// payload and exactly those bytes; a cut inside the frame is corrupt.
+func TestUnframePrefix(t *testing.T) {
+	frame := Frame(testMagic, 1, []byte("header"))
+	data := append(append([]byte(nil), frame...), "records"...)
+	payload, rest, err := UnframePrefix(testMagic, 1, 1<<20, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(payload) != "header" || string(rest) != "records" {
+		t.Fatalf("payload %q rest %q", payload, rest)
+	}
+	for n := 0; n < len(frame); n++ {
+		if _, _, err := UnframePrefix(testMagic, 1, 1<<20, data[:n]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("prefix %d: err = %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.bin")
