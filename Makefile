@@ -40,7 +40,7 @@ chaos:
 		-run 'TestChaos|TestPoolTaskPanic|TestFlightLeaderPanic|TestHandlerPanic|TestQuarantine|TestBreaker|TestFailureClass|TestSnapshot|TestQueueWaitClamp|TestAdmissionWaitClamped|TestReadyz|TestJobs'
 	$(GO) test -race -count=1 ./internal/jobs/...
 	$(GO) test -race -count=1 ./internal/fdm ./internal/powergrid ./internal/mathx \
-		-run 'TestSolverLadder|TestSheetLadder|TestIRDropFallback|TestLadder|TestCG'
+		-run 'TestSolverLadder|TestSheetLadder|TestIRDropFallback|TestLadder|TestCG|TestBandCholesky'
 
 # Short fuzz smokes: enough to catch a freshly introduced panic or
 # key-encoder collision without turning CI into a fuzz farm.
@@ -71,15 +71,17 @@ cover-chipcheck:
 bench-smoke:
 	$(GO) test ./internal/server -run '^$$' -bench 'ThunderingHerd|BatchVsSerial|WarmStartVsCold|QuarantineHit' -benchtime 1x
 
-# Numeric-backbone benchmarks (parallel kernels, batched FDM solves,
-# Monte Carlo fan-out, job-lane throughput, the lifetime sampling kernel
-# and its inverse normal) with serial baselines in the same run,
-# appended to the perf trajectory as the next BENCH_<n>.json
-# (cmd/benchjson -next auto-increments past the highest existing index).
+# Numeric-backbone benchmarks (parallel kernels, the banded factor and
+# sweep, batched FDM solves, Monte Carlo fan-out, job-lane throughput,
+# the lifetime sampling kernel and its inverse normal) with serial
+# baselines in the same run, five samples each (benchjson records the
+# median, min and max), appended to the perf trajectory as the next
+# BENCH_<n>.json (cmd/benchjson -next auto-increments past the highest
+# existing index).
 bench-json:
 	$(GO) test ./internal/mathx ./internal/fdm ./internal/rules ./internal/jobs ./internal/chipcheck ./internal/lifetime -run '^$$' \
-		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|SampleRange|InvNormCDF' \
-		-benchtime 10x -count=1 | $(GO) run ./cmd/benchjson -next .
+		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|BandCholesky|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|SampleRange|InvNormCDF' \
+		-benchtime 10x -count=5 | $(GO) run ./cmd/benchjson -next .
 
 verify: fmt build vet test perfbench race chaos fuzz-smoke bench-smoke cover-chipcheck
 	@echo "verify: all gates passed"

@@ -1,7 +1,11 @@
 // Command benchjson converts `go test -bench` text output (stdin) into a
-// JSON perf record: one entry per benchmark with ns/op and any custom
-// metrics, plus derived speedup pairs for benchmarks that run a "serial"
-// sub-benchmark next to a "parallel"/"batch" one.
+// JSON perf record: one entry per benchmark, folding the repeated lines
+// `-count N` prints into the median, minimum and maximum ns/op and the
+// sample count (custom metrics keep their median), plus derived speedup
+// pairs for benchmarks that run a "serial" sub-benchmark next to a
+// "parallel"/"batch" one. A speedup is marked resolved only when the
+// serial and fast ranges do not overlap: with overlapping ranges the
+// noise is as large as the effect.
 //
 // By default the record goes to stdout. With -next DIR it lands in
 // DIR/BENCH_<n>.json where <n> is one past the highest existing index —
@@ -17,14 +21,21 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
 
+// benchmark is one benchmark folded over its samples (result lines).
+// NsPerOp and Metrics are medians; Runs is the iteration count of the
+// first sample.
 type benchmark struct {
 	Name    string             `json:"name"`
 	Runs    int64              `json:"runs"`
 	NsPerOp float64            `json:"ns_per_op"`
+	MinNs   float64            `json:"min_ns_per_op"`
+	MaxNs   float64            `json:"max_ns_per_op"`
+	Samples int                `json:"samples"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -34,6 +45,9 @@ type speedup struct {
 	FastName string  `json:"fast_variant"`
 	FastNs   float64 `json:"fast_ns_per_op"`
 	Speedup  float64 `json:"speedup"`
+	// Resolved reports that the serial and fast [min, max] ranges do
+	// not overlap.
+	Resolved bool `json:"resolved"`
 }
 
 type report struct {
@@ -46,6 +60,7 @@ func main() {
 	nextDir := flag.String("next", "", "write to DIR/BENCH_<n>.json, auto-incrementing n past the highest existing index (empty = stdout)")
 	flag.Parse()
 	rep := report{Context: map[string]string{}}
+	var samples []benchmark
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -60,13 +75,14 @@ func main() {
 			}
 		}
 		if b, ok := parseBenchLine(line); ok {
-			rep.Benchmarks = append(rep.Benchmarks, b)
+			samples = append(samples, b)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	rep.Benchmarks = fold(samples)
 	rep.Speedups = deriveSpeedups(rep.Benchmarks)
 	out := os.Stdout
 	if *nextDir != "" {
@@ -147,6 +163,54 @@ func parseBenchLine(line string) (benchmark, bool) {
 	return b, b.NsPerOp > 0
 }
 
+// fold merges the samples of each benchmark, in order of first
+// appearance, into one entry with the median, minimum and maximum ns/op
+// and the median of each custom metric.
+func fold(samples []benchmark) []benchmark {
+	var out []benchmark
+	groups := map[string][]benchmark{}
+	for _, b := range samples {
+		if groups[b.Name] == nil {
+			out = append(out, benchmark{Name: b.Name, Runs: b.Runs})
+		}
+		groups[b.Name] = append(groups[b.Name], b)
+	}
+	for i := range out {
+		g := groups[out[i].Name]
+		ns := make([]float64, len(g))
+		for k, b := range g {
+			ns[k] = b.NsPerOp
+		}
+		out[i].NsPerOp = median(ns)
+		out[i].MinNs, out[i].MaxNs = slices.Min(ns), slices.Max(ns)
+		out[i].Samples = len(g)
+		for key := range g[0].Metrics {
+			var vs []float64
+			for _, b := range g {
+				if v, ok := b.Metrics[key]; ok {
+					vs = append(vs, v)
+				}
+			}
+			if out[i].Metrics == nil {
+				out[i].Metrics = map[string]float64{}
+			}
+			out[i].Metrics[key] = median(vs)
+		}
+	}
+	return out
+}
+
+// median returns the middle value of xs (the mean of the middle two for
+// an even count); xs is sorted in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
 // trimProcSuffix drops the trailing -N GOMAXPROCS marker.
 func trimProcSuffix(name string) string {
 	if i := strings.LastIndex(name, "-"); i > 0 {
@@ -158,11 +222,12 @@ func trimProcSuffix(name string) string {
 }
 
 // deriveSpeedups pairs each <parent>/serial result with a sibling fast
-// variant (parallel or batch) and records serial÷fast.
+// variant (parallel or batch) and records the ratio of medians,
+// serial÷fast, resolved when the two ranges do not overlap.
 func deriveSpeedups(bs []benchmark) []speedup {
-	byName := map[string]float64{}
+	byName := map[string]benchmark{}
 	for _, b := range bs {
-		byName[b.Name] = b.NsPerOp
+		byName[b.Name] = b
 	}
 	var out []speedup
 	for _, b := range bs {
@@ -171,14 +236,14 @@ func deriveSpeedups(bs []benchmark) []speedup {
 			continue
 		}
 		for _, variant := range []string{"parallel", "batch"} {
-			fast := parent + "/" + variant
-			if ns, ok := byName[fast]; ok && ns > 0 {
+			if f, ok := byName[parent+"/"+variant]; ok && f.NsPerOp > 0 {
 				out = append(out, speedup{
 					Name:     parent,
 					SerialNs: b.NsPerOp,
 					FastName: variant,
-					FastNs:   ns,
-					Speedup:  b.NsPerOp / ns,
+					FastNs:   f.NsPerOp,
+					Speedup:  b.NsPerOp / f.NsPerOp,
+					Resolved: b.MinNs > f.MaxNs || f.MinNs > b.MaxNs,
 				})
 			}
 		}

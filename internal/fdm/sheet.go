@@ -14,14 +14,17 @@ import (
 // film conductance (sinkCond, W/(m²·K)). It is the thermal-map half of
 // the chip-level electrothermal loop: the conduction matrix is
 // temperature-independent, so it is assembled and factored once (banded
-// Cholesky under the same entry budget as the cross-section Solver,
+// Cholesky in the sheet's short-side order under mathx.CholEntryBudget,
 // IC(0)-preconditioned CG otherwise — see mathx.SPD) and every
 // Joule-power distribution costs two O(n·bw) triangular sweeps — the
-// iteration-loop reuse the coupled fixed point leans on.
+// iteration-loop reuse the coupled fixed point leans on. A SheetSolver
+// is not safe for concurrent use: its solves share one set of work
+// vectors, so the loop's solves allocate nothing.
 type SheetSolver struct {
-	nx, ny int
-	spd    *mathx.SPD
-	n      int
+	nx, ny  int
+	spd     *mathx.SPD
+	n       int
+	scratch mathx.CGScratch
 }
 
 // NewSheetSolver assembles and factors the sheet conduction matrix for
@@ -85,7 +88,7 @@ func NewSheetSolver(nx, ny int, dx, dy, sheetCond, sinkCond float64) (*SheetSolv
 		}
 	}
 	a.ColIdx, a.Val = cols, vals
-	return &SheetSolver{nx: nx, ny: ny, spd: mathx.NewSPD(a, cholEntryBudget/n), n: n}, nil
+	return &SheetSolver{nx: nx, ny: ny, spd: mathx.NewSPD(a, mathx.CholEntryBudget/n), n: n}, nil
 }
 
 // Cells returns the unknown count nx·ny.
@@ -101,7 +104,7 @@ func (s *SheetSolver) Solve(power, out []float64) error {
 	if len(power) != s.n || len(out) != s.n {
 		return fmt.Errorf("%w: got %d powers and %d outputs for %d cells", ErrInvalid, len(power), len(out), s.n)
 	}
-	if err := s.spd.Solve(power, out, nil); err != nil {
+	if err := s.spd.Solve(power, out, &s.scratch); err != nil {
 		return fmt.Errorf("fdm: sheet conduction: %w", err)
 	}
 	return nil

@@ -10,9 +10,10 @@ import (
 
 // Solver discretizes one array cross-section and solves steady-state heat
 // conduction for arbitrary per-line dissipations. The mesh and matrix are
-// built once. When the conduction matrix's band fits a memory budget (the
-// row-major grid numbering makes the bandwidth exactly nx), NewSolver
-// additionally pays a one-time banded Cholesky factorization, after which
+// built once. When the conduction matrix's band fits mathx.CholEntryBudget
+// (the factor numbers the mesh along its shorter side, so the band is
+// about min(nx, ny)), NewSolver additionally pays a one-time banded
+// Cholesky factorization, after which
 // every Solve/SolveBatch RHS is two triangular sweeps instead of a CG
 // run; otherwise each Solve is an IC(0)-preconditioned CG run (see
 // mathx.SPD for the full fallback ladder). SolveBatch runs many
@@ -23,11 +24,6 @@ type Solver struct {
 	spd *mathx.SPD
 	n   int
 }
-
-// cholEntryBudget caps the banded factor at 16M floats (128 MB): maxBand
-// for an n-cell mesh is cholEntryBudget/n, so fine meshes degrade to PCG
-// instead of exhausting memory.
-const cholEntryBudget = 1 << 24
 
 // NewSolver meshes the array at the given resolution (metres; a third of
 // the smallest feature is a good default — see DefaultResolution) and
@@ -40,7 +36,7 @@ func NewSolver(ar *geometry.Array, res float64) (*Solver, error) {
 	}
 	s := &Solver{m: m, n: m.nx() * m.ny()}
 	s.a = s.assemble()
-	s.spd = mathx.NewSPD(s.a, cholEntryBudget/s.n)
+	s.spd = mathx.NewSPD(s.a, mathx.CholEntryBudget/s.n)
 	return s, nil
 }
 

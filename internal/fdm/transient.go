@@ -98,7 +98,7 @@ func (s *Solver) SolvePulse(powers map[LineRef]float64, onDuration, totalDuratio
 	// one-time banded factorization turns every step into two triangular
 	// sweeps; wide meshes fall back to CG warm-started from the previous
 	// step.
-	sysSPD := mathx.NewSPD(sys, cholEntryBudget/s.n)
+	sysSPD := mathx.NewSPD(sys, mathx.CholEntryBudget/s.n)
 	var scratch mathx.CGScratch
 
 	tr := &Transient{LineDT: make(map[LineRef][]float64)}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -713,10 +714,11 @@ func TestJournalBytesLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Done fires only once the compacted journal is written, so the file
+	// is looked at straight away, with the manager still running.
 	if fin := waitDone(t, m, v.ID); fin.Status != StatusDone {
 		t.Fatalf("run: %s (%q)", fin.Status, fin.Error)
 	}
-	m.Stop() // the worker exits only after the terminal rewrite
 	st := m.Stats()
 	if st.Checkpoints < chunks {
 		t.Fatalf("%d checkpoints for %d chunks", st.Checkpoints, chunks)
@@ -730,6 +732,143 @@ func TestJournalBytesLinear(t *testing.T) {
 	}
 	if fi.Size() > int64(blobBytes)/10 {
 		t.Fatalf("finished journal is %d bytes for %d bytes of blobs: not compacted", fi.Size(), blobBytes)
+	}
+}
+
+// TestTerminalPublishedAfterJournal: a job's final state reaches Get
+// and Done only after its compacted journal is written, so a crash
+// between the two resumes a job no client has seen finish. A
+// journal-write hook looks at the job from inside each write; at the
+// terminal write it must still show its live status with Done open.
+// Covers the finished-run path and the queued-cancel path.
+func TestTerminalPublishedAfterJournal(t *testing.T) {
+	release := make(chan struct{})
+	unstall := faultinject.Set(faultinject.SiteJobsStep, stallAfter(0, release))
+	defer unstall()
+	dir := t.TempDir()
+	m := newTestManager(t, Config{Dir: dir})
+	var mu sync.Mutex
+	seen := map[string]Status{} // status at the job's latest journal write
+	early := map[string]bool{}  // Done had already fired at a write
+	unhook := faultinject.Set(faultinject.SiteJobsJournalWrite, func(ctx context.Context) error {
+		id := faultinject.Meta(ctx)
+		v, err := m.Get(id)
+		if err != nil {
+			return nil // the submit write: the job is not visible yet
+		}
+		ch, err := m.Done(id)
+		if err != nil {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		seen[id] = v.Status
+		select {
+		case <-ch:
+			early[id] = true
+		default:
+		}
+		return nil
+	})
+	defer unhook()
+
+	running, err := m.Submit(sweepReq(LaneBulk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if cur, _ := m.Get(running.ID); cur.Status == StatusRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+	}
+	queued, err := m.Submit(sweepReq(LaneBulk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	for _, tc := range []struct {
+		id         string
+		live, want Status
+	}{
+		{queued.ID, StatusQueued, StatusCancelled},
+		{running.ID, StatusRunning, StatusDone},
+	} {
+		if fin := waitDone(t, m, tc.id); fin.Status != tc.want {
+			t.Fatalf("%s: status %s, want %s", tc.id, fin.Status, tc.want)
+		}
+		mu.Lock()
+		got, wasEarly := seen[tc.id], early[tc.id]
+		mu.Unlock()
+		if got != tc.live || wasEarly {
+			t.Errorf("%s: terminal write saw status %s with Done fired %t, want %s and not fired",
+				tc.id, got, wasEarly, tc.live)
+		}
+		data, err := os.ReadFile(journalPath(dir, tc.id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jf, err := decodeJournal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := 0
+		for _, blob := range jf.ChunkData {
+			if blob != nil {
+				kept++
+			}
+		}
+		if jf.Status != tc.want || kept != 0 {
+			t.Errorf("%s: journal holds %s with %d chunk blobs, want compacted %s", tc.id, jf.Status, kept, tc.want)
+		}
+	}
+}
+
+// TestInterruptedRewriteRemovedAtBoot: a daemon killed between an
+// atomic journal rewrite's temp file and its rename leaves
+// <id>.job.tmp<N> behind. The next boot deletes it, leaves quarantined
+// *.corrupt files alone, and still resumes the job from its journal.
+func TestInterruptedRewriteRemovedAtBoot(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	unstall := faultinject.Set(faultinject.SiteJobsStep, stallAfter(0, release))
+	dir := t.TempDir()
+	m, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.Submit(sweepReq(LaneBulk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Kill()
+	unstall()
+	tmp := journalPath(dir, v.ID) + ".tmp2123918284"
+	corrupt := filepath.Join(dir, "jdead.job.corrupt")
+	for _, p := range []string{tmp, corrupt} {
+		if err := os.WriteFile(p, []byte("partial rewrite"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m2 := newTestManager(t, Config{Dir: dir})
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("interrupted rewrite %s survived the boot: %v", filepath.Base(tmp), err)
+	}
+	if _, err := os.Stat(corrupt); err != nil {
+		t.Fatalf("boot touched the quarantined journal: %v", err)
+	}
+	if fin := waitDone(t, m2, v.ID); fin.Status != StatusDone {
+		t.Fatalf("resumed job: %s (%q)", fin.Status, fin.Error)
+	}
+	for _, name := range []string{"x.job.tmp", "x.job.tmp12a", "x.job.tmp1.corrupt", "x.job"} {
+		if interruptedRewrite(name) {
+			t.Errorf("%q taken for an interrupted rewrite", name)
+		}
 	}
 }
 

@@ -359,6 +359,18 @@ func appendJournal(path string, off int64, recs []byte) error {
 	return err
 }
 
+// interruptedRewrite reports whether name is the temp file
+// snapcodec.WriteFileAtomic writes a journal through: "<id>.job.tmp"
+// followed by digits only.
+func interruptedRewrite(name string) bool {
+	i := strings.LastIndex(name, ".job.tmp")
+	if i <= 0 {
+		return false
+	}
+	digits := name[i+len(".job.tmp"):]
+	return digits != "" && strings.Trim(digits, "0123456789") == ""
+}
+
 // scanResult is what a boot-time directory scan yields.
 type scanResult struct {
 	files     []journalFile
@@ -369,7 +381,10 @@ type scanResult struct {
 }
 
 // scanJournals loads every *.job file in dir. A journal whose header
-// fails to decode is quarantined (renamed *.corrupt) and counted; one
+// fails to decode is quarantined (renamed *.corrupt) and counted; an
+// atomic rewrite's temp file (<id>.job.tmp<N>) left by a process killed
+// before its rename is deleted, since the journal it was to replace is
+// still whole; one
 // whose records end in a torn or corrupt tail keeps its valid prefix,
 // and the tail is cut off before anything can be appended after it (if
 // the cut fails, Valid is zeroed so the job's next write rewrites the
@@ -386,6 +401,10 @@ func scanJournals(dir string) (scanResult, error) {
 		return res, fmt.Errorf("jobs: journal scan: %w", err)
 	}
 	for _, e := range entries {
+		if !e.IsDir() && interruptedRewrite(e.Name()) {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
+			continue
+		}
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".job") {
 			continue
 		}

@@ -175,7 +175,12 @@ type job struct {
 	// dequeue (status → running) and runJob installing cancel.
 	cancel          context.CancelCauseFunc
 	cancelRequested bool
-	// done closes on entering a terminal state.
+	// closing marks a queued job whose cancellation is being journaled:
+	// it still shows as queued, but no worker may pick it up and a
+	// second Cancel has nothing left to do.
+	closing bool
+	// done closes on entering a terminal state, once that state is
+	// durable.
 	done chan struct{}
 }
 
@@ -434,7 +439,7 @@ func (m *Manager) Submit(req SubmitRequest) (View, error) {
 	// id, the job must survive a crash. With DegradedOK the job is
 	// accepted anyway — it runs in-memory, durable again once a later
 	// re-probe succeeds.
-	if err := m.writeDurable(j); err != nil {
+	if err := m.writeDurable(j, nil); err != nil {
 		if !m.cfg.DegradedOK {
 			return View{}, fmt.Errorf("jobs: journal submit: %w", err)
 		}
@@ -592,10 +597,13 @@ func (m *Manager) Cancel(id string) error {
 			cancel(errCancelled)
 		}
 		return nil
-	default: // queued: lazy queue removal — dequeue skips non-queued jobs
-		terminalLocked(j, StatusCancelled, "")
+	case j.closing:
 		m.mu.Unlock()
-		m.persistTerminal(j)
+		return nil
+	default: // queued: lazy queue removal — dequeue skips closing jobs
+		j.closing = true
+		m.mu.Unlock()
+		m.terminal(j, StatusCancelled, "")
 		return nil
 	}
 }
@@ -707,7 +715,7 @@ func (m *Manager) pickLocked() *job {
 			j := q[0]
 			q = q[1:]
 			m.queues[lane] = q
-			if j.status != StatusQueued { // cancelled while queued
+			if j.status != StatusQueued || j.closing { // cancelled while queued
 				continue
 			}
 			m.picks++
@@ -937,22 +945,18 @@ func (m *Manager) finalize(j *job) {
 	m.terminal(j, StatusDone, "")
 }
 
-// terminal moves j to a final state and persists it.
+// terminal moves j to a final state. The compacted journal is written
+// first, and only when that write returns (a failure is counted) do
+// views, Result and Done see the final state: a crash in between
+// resumes a job no client has seen finish. The job then releases its
+// chunk blobs; a finished job answers from its result or error alone.
 func (m *Manager) terminal(j *job, st Status, errMsg string) {
+	m.persistTerminal(j, st, errMsg)
 	m.mu.Lock()
-	terminalLocked(j, st, errMsg)
-	m.mu.Unlock()
-	m.persistTerminal(j)
-}
-
-// terminalLocked moves j to a final state and releases its chunk blobs:
-// a finished job answers from its result or error alone, and its
-// journal compacts to a header without them. The Manager's mutex must
-// be held.
-func terminalLocked(j *job, st Status, errMsg string) {
 	j.status = st
 	j.errMsg = errMsg
 	j.data = nil
+	m.mu.Unlock()
 	close(j.done)
 }
 
@@ -979,7 +983,7 @@ func (m *Manager) checkpoint(ctx context.Context, j *job) {
 		}
 		m.journalReprobes.Add(1)
 	}
-	if err := m.writeDurable(j); err != nil {
+	if err := m.writeDurable(j, nil); err != nil {
 		m.checkpointErrors.Add(1)
 		log.Printf("jobs: checkpoint %s: %v (journal degraded, continuing in-memory)", j.id, err)
 		return
@@ -987,13 +991,21 @@ func (m *Manager) checkpoint(ctx context.Context, j *job) {
 	m.checkpoints.Add(1)
 }
 
-// persistTerminal writes the final journal state (best-effort: the
-// in-memory table is authoritative for this process's lifetime).
-func (m *Manager) persistTerminal(j *job) {
+// terminalState is the final status a terminal journal write records
+// before the job shows it.
+type terminalState struct {
+	status Status
+	errMsg string
+}
+
+// persistTerminal writes j's compacted journal in its final state st
+// (best-effort: the in-memory table is authoritative for this process's
+// lifetime).
+func (m *Manager) persistTerminal(j *job, st Status, errMsg string) {
 	if m.cfg.Dir == "" {
 		return
 	}
-	if err := m.writeDurable(j); err != nil {
+	if err := m.writeDurable(j, &terminalState{st, errMsg}); err != nil {
 		m.checkpointErrors.Add(1)
 		log.Printf("jobs: persist %s: %v", j.id, err)
 		return
@@ -1005,8 +1017,8 @@ func (m *Manager) persistTerminal(j *job) {
 // failed write flips the manager degraded (counted on the transition)
 // and stamps the probe clock; a successful write while degraded is the
 // recovery.
-func (m *Manager) writeDurable(j *job) error {
-	err := m.writeJournal(j)
+func (m *Manager) writeDurable(j *job, final *terminalState) error {
+	err := m.writeJournal(j, final)
 	if err != nil {
 		if !m.degraded.Swap(true) {
 			m.degradedEvents.Add(1)
@@ -1027,8 +1039,9 @@ func (m *Manager) writeDurable(j *job) error {
 // chunk-grid reset left stale, a terminal job — gets one atomic rewrite
 // of the whole file. j is snapshotted under the lock and written
 // outside it (blobs are immutable once set, and manifest entries once
-// appended).
-func (m *Manager) writeJournal(j *job) error {
+// appended). A non-nil final writes the terminal journal: j in that
+// state, without its chunk blobs.
+func (m *Manager) writeJournal(j *job, final *terminalState) error {
 	if m.cfg.Dir == "" {
 		return nil
 	}
@@ -1047,6 +1060,9 @@ func (m *Manager) writeJournal(j *job) error {
 	failed := j.failed
 	off, logged, loggedFailed := j.logLen, j.logged, j.loggedFailed
 	m.mu.Unlock()
+	if final != nil {
+		jf.Status, jf.ErrMsg, jf.ChunkData = final.status, final.errMsg, nil
+	}
 	if jf.Status == StatusRunning {
 		// A journal never claims "running": the process writing it may
 		// die the next instant, and on disk that state means "queued

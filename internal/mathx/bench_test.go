@@ -80,3 +80,32 @@ func BenchmarkSolveCGPrecond(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBandCholesky measures the two banded kernels on the 48×32
+// grid a medium chip check factors twice and sweeps ~35 times: the
+// factorization and one solve, both in the factor's short-side order.
+func BenchmarkBandCholesky(b *testing.B) {
+	a := laplacian2D(48, 32)
+	b.Run("factor", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewBandCholesky(a, a.N); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("solve", func(b *testing.B) {
+		c, err := NewBandCholesky(a, a.N)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs := randVec(rand.New(rand.NewSource(8)), a.N)
+		x := make([]float64, a.N)
+		tmp := make([]float64, a.N)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Solve(rhs, x, tmp)
+		}
+	})
+}

@@ -229,7 +229,7 @@ func TestIC0ExactOnTridiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	b := randVec(rng, n)
 	z := make([]float64, n)
-	m.apply(b, z)
+	m.apply(b, z, nil)
 	// Check A·z ≈ b.
 	az := make([]float64, n)
 	a.MulVec(z, az)

@@ -10,11 +10,12 @@ import (
 // matrix (IC(0) breakdown on a matrix that is not SPD enough).
 var errPrecond = errors.New("mathx: preconditioner breakdown")
 
-// preconditioner applies z = M⁻¹·r. Implementations are read-only after
+// preconditioner applies z = M⁻¹·r; tmp is a work vector of the same
+// length that aliases neither. Implementations are read-only after
 // construction, so one instance serves concurrent CG solves with
 // distinct argument slices.
 type preconditioner interface {
-	apply(r, z []float64)
+	apply(r, z, tmp []float64)
 }
 
 // jacobiPrec is diagonal scaling; zero diagonals pass through unscaled.
@@ -32,7 +33,7 @@ func newJacobi(a *CSR) *jacobiPrec {
 	return &jacobiPrec{invd: inv}
 }
 
-func (j *jacobiPrec) apply(r, z []float64) {
+func (j *jacobiPrec) apply(r, z, _ []float64) {
 	for i, v := range r {
 		z[i] = v * j.invd[i]
 	}
@@ -139,7 +140,7 @@ func (f *ic0) refactor(a *CSR) error {
 }
 
 // apply solves L·Lᵀ·z = r by one forward and one backward substitution.
-func (f *ic0) apply(r, z []float64) {
+func (f *ic0) apply(r, z, _ []float64) {
 	n := f.n
 	// Forward: L·y = r (y in z).
 	for i := 0; i < n; i++ {

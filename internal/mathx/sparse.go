@@ -134,23 +134,31 @@ func SolveCG(a *CSR, b, x []float64, rtol float64, maxIter int) CGResult {
 	return solveCG(a, b, x, rtol, maxIter, newJacobi(a), &CGScratch{})
 }
 
-// CGScratch holds the four work vectors of a CG solve so repeated
-// solves of same-size systems (the electrothermal fixed point solves
-// the same grid dozens of times) produce no per-call garbage. The zero
-// value is ready to use; vectors are (re)sized on demand.
+// CGScratch holds the work vectors of a CG solve (and of a permuted
+// banded solve) so repeated solves of same-size systems (the
+// electrothermal fixed point solves the same grid dozens of times)
+// produce no per-call garbage. The zero value is ready to use; vectors
+// are (re)sized on demand.
 type CGScratch struct {
-	r, z, p, ap []float64
+	r, z, p, ap, t []float64
 }
 
 func (s *CGScratch) resize(n int) {
-	if cap(s.r) < n {
-		s.r = make([]float64, n)
-		s.z = make([]float64, n)
-		s.p = make([]float64, n)
-		s.ap = make([]float64, n)
-		return
+	grow(&s.r, n)
+	grow(&s.z, n)
+	grow(&s.p, n)
+	grow(&s.ap, n)
+	grow(&s.t, n)
+}
+
+// grow sets *v to length n, allocating only when its capacity is short,
+// and returns it.
+func grow(v *[]float64, n int) []float64 {
+	if cap(*v) < n {
+		*v = make([]float64, n)
 	}
-	s.r, s.z, s.p, s.ap = s.r[:n], s.z[:n], s.p[:n], s.ap[:n]
+	*v = (*v)[:n]
+	return *v
 }
 
 // solveCG runs CG preconditioned by m with caller-owned work vectors.
@@ -175,7 +183,7 @@ func solveCG(a *CSR, b, x []float64, rtol float64, maxIter int, m preconditioner
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	m.apply(r, z)
+	m.apply(r, z, scratch.t)
 	copy(p, z)
 	rz := Dot(r, z)
 	res := CGResult{}
@@ -219,7 +227,7 @@ func solveCG(a *CSR, b, x []float64, rtol float64, maxIter int, m preconditioner
 		alpha := rz / pap
 		Axpy(alpha, p, x)
 		Axpy(-alpha, ap, r)
-		m.apply(r, z)
+		m.apply(r, z, scratch.t)
 		rzNew := Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew

@@ -12,13 +12,18 @@ import (
 // transient, the plan-view thermal sheet, the power-grid IR drop — runs
 // through SPD, so one policy decides how a solve degrades:
 //
-//	direct (banded Cholesky, residual-verified) → IC(0) CG → Jacobi CG → ErrNumeric
+//	factor rung → IC(0) CG → Jacobi CG → ErrNumeric
 //
-// Every step down is counted in NumericStats (/metrics
-// resilience.numeric), a direct solution that fails its residual check
-// never reaches a caller, and a solve that exhausts the ladder returns
-// a structured ErrNumeric. faultinject.SiteMathxSolve makes the primary
-// rung report failure so tests can walk the ladder on healthy systems.
+// The factor rung is a banded Cholesky solve, residual-verified, when
+// the factor is fresh. After Refactor the factor is stale: the rung then
+// runs CG preconditioned by it, warm-started from x, and rebuilds the
+// factor for a verified direct solve only when that CG misses cgRtol
+// within staleMaxIter iterations. A rebuild is not a step down; every
+// step down is counted in NumericStats (/metrics resilience.numeric), a
+// direct solution that fails its residual check never reaches a
+// caller, and a solve that exhausts the ladder returns a structured
+// ErrNumeric. faultinject.SiteMathxSolve makes the primary rung report
+// failure so tests can walk the ladder on healthy systems.
 
 const (
 	// directRtol gates the direct rung: a banded Cholesky on these SPD
@@ -27,51 +32,84 @@ const (
 	// this RHS (stale values, overflow, NaN contamination) and the CG
 	// rungs take over.
 	directRtol = 1e-8
-	// cgRtol is the relative-residual target of both CG rungs.
+	// cgRtol is the relative-residual target of every CG rung.
 	cgRtol = 1e-12
+	// staleMaxIter caps CG preconditioned by a stale factor. The
+	// electrothermal loops restamp conductances by a few percent per
+	// pass, which this CG answers in 5–7 iterations from the previous
+	// pass's solution; a restamp that needs more has drifted far enough
+	// that a rebuild, about a dozen sweeps' worth of flops, is cheaper.
+	staleMaxIter = 16
 )
 
 // SPD solves A·x = b for one symmetric positive-definite matrix (rows in
 // ascending column order) down the fallback ladder. The primary rung is
-// the banded Cholesky solve when a's band fits the caller's budget, and
-// IC(0) CG otherwise. Solve is safe for concurrent use with distinct x
-// and scratch; Refactor is not.
+// the banded factor when a's band fits the caller's budget, and IC(0) CG
+// otherwise. Solve is safe for concurrent use with distinct x and
+// scratch; Refactor is not.
 type SPD struct {
-	a    *CSR
-	chol *BandCholesky // nil: no direct rung
+	a *CSR
 
-	mu      sync.Mutex // guards ic and icFresh
-	ic      *ic0       // built on first use; nil after a breakdown
-	icFresh bool       // ic (or its breakdown) reflects a's current values
+	mu        sync.Mutex    // guards chol, cholFresh, ic and icFresh
+	chol      *BandCholesky // nil: no factor rung
+	cholFresh bool          // chol was factored from a's current values
+	ic        *ic0          // built on first use; nil after a breakdown
+	icFresh   bool          // ic (or its breakdown) reflects a's current values
 }
 
-// NewSPD prepares the ladder for a. When a's bandwidth fits maxBand
-// (storage n·(bw+1) floats), the banded factor is built now; a negative
-// maxBand means no direct rung. The IC(0) factor is built from a's
-// values the first time a CG rung needs it.
+// NewSPD prepares the ladder for a, whose values must already be
+// stamped. When a's bandwidth in its best order fits maxBand (storage
+// n·(bw+1) floats; callers pass CholEntryBudget/n), the banded factor is
+// built now; a negative maxBand means no factor rung. The IC(0) factor
+// is built from a's values the first time a CG rung needs it.
 func NewSPD(a *CSR, maxBand int) *SPD {
 	s := &SPD{a: a}
 	if maxBand >= 0 {
-		// A band over budget or a lost pivot only removes the direct
+		// A band over budget or a lost pivot only removes the factor
 		// rung; the CG rungs still answer.
 		s.chol, _ = NewBandCholesky(a, maxBand)
+		s.cholFresh = true
 	}
 	return s
 }
 
-// Direct reports whether the banded Cholesky rung is available.
-func (s *SPD) Direct() bool { return s.chol != nil }
-
-// Refactor rereads a after the caller restamps its values in place
-// (same sparsity pattern): the banded factor is rebuilt now, the IC(0)
-// factor in its existing storage on next use.
-func (s *SPD) Refactor() {
-	if s.chol != nil {
-		s.chol, _ = NewBandCholesky(s.a, s.chol.bw)
-	}
+// Direct reports whether the banded factor rung is available.
+func (s *SPD) Direct() bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.chol != nil
+}
+
+// Refactor tells the ladder that the caller restamped a's values in
+// place (same sparsity pattern): the banded factor turns stale — a
+// preconditioner until a solve needs it rebuilt — and the IC(0) factor
+// is refreshed in its existing storage on next use.
+func (s *SPD) Refactor() {
+	s.mu.Lock()
+	s.cholFresh = false
 	s.icFresh = false
 	s.mu.Unlock()
+}
+
+// factor returns the banded factor and whether it reflects a's current
+// values.
+func (s *SPD) factor() (*BandCholesky, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.chol, s.cholFresh
+}
+
+// rebuild refactors a stale factor from a's current values. Concurrent
+// solves that find the same stale factor rebuild it once; solves still
+// reading the old one keep it. A lost pivot removes the factor rung.
+func (s *SPD) rebuild(stale *BandCholesky) *BandCholesky {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.chol == stale && !s.cholFresh {
+		s.chol, _ = stale.refactor(s.a)
+		s.cholFresh = true
+	}
+	return s.chol
 }
 
 // precond returns the IC(0) factor of a's current values, or nil when
@@ -100,36 +138,45 @@ func (s *SPD) Solve(b, x []float64, scratch *CGScratch) error {
 		// RHS after x is overwritten, so aliased calls get a private copy.
 		b = append([]float64(nil), b...)
 	}
-	rung := 1 // 0 direct, 1 IC(0) CG, 2 Jacobi CG
-	if s.chol != nil {
-		rung = 0
+	if scratch == nil {
+		scratch = &CGScratch{}
 	}
+	chol, fresh := s.factor()
+	jacobiOnly := false
 	if faultinject.Inject(context.Background(), faultinject.SiteMathxSolve) != nil {
+		// The primary rung reports failure: a factor rung, fresh or
+		// stale, is skipped, and without one IC(0) is.
 		fallbackSolves.Add(1)
-		rung++
+		jacobiOnly = chol == nil
+		chol = nil
 	}
-	if rung == 0 {
-		s.chol.Solve(b, x)
-		var r []float64
-		if scratch != nil {
-			scratch.resize(s.a.N)
-			r = scratch.r
+	if chol != nil && !fresh {
+		if solveCG(s.a, b, x, cgRtol, staleMaxIter, chol, scratch).Converged {
+			return checkSolution(x)
 		}
+		if chol = s.rebuild(chol); chol == nil {
+			// The rebuild lost a pivot: step down, cold.
+			fallbackSolves.Add(1)
+			clear(x)
+		}
+	}
+	if chol != nil {
+		var tmp []float64
+		if chol.perm != nil {
+			tmp = grow(&scratch.t, s.a.N)
+		}
+		chol.Solve(b, x, tmp)
 		// A NaN residual compares false here, so contaminated solutions
 		// fall through with the genuinely inaccurate ones.
-		if RelResidual(s.a, x, b, r) <= directRtol {
+		if RelResidual(s.a, x, b, grow(&scratch.r, s.a.N)) <= directRtol {
 			return nil
 		}
 		directRejects.Add(1)
 		fallbackSolves.Add(1)
 		clear(x)
-		rung = 1
-	}
-	if scratch == nil {
-		scratch = &CGScratch{}
 	}
 	var res CGResult
-	if rung == 1 {
+	if !jacobiOnly {
 		if ic := s.precond(); ic != nil {
 			if res = solveCG(s.a, b, x, cgRtol, 0, ic, scratch); res.Converged {
 				return checkSolution(x)

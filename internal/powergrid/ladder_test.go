@@ -11,9 +11,9 @@ import (
 )
 
 // TestIRDropFallbackMatchesIC0: an injected primary-path failure at
-// faultinject.SiteMathxSolve must push the IR-drop solve off its IC(0)
-// preconditioner onto the Jacobi rung, with the same answer and the
-// fallback counted.
+// faultinject.SiteMathxSolve must push the IR-drop solve off its banded
+// factor rung onto IC(0) CG, with the same answer and the fallback
+// counted.
 func TestIRDropFallbackMatchesIC0(t *testing.T) {
 	g := testGrid()
 	loads := []Load{{Node{4, 4}, 0.2}}
@@ -36,9 +36,9 @@ func TestIRDropFallbackMatchesIC0(t *testing.T) {
 		t.Fatalf("FallbackSolves %d -> %d, want increase", before.FallbackSolves, after.FallbackSolves)
 	}
 	if math.Abs(got.WorstDrop-want.WorstDrop) > 1e-9*(1+math.Abs(want.WorstDrop)) {
-		t.Fatalf("fallback WorstDrop %g, IC(0) %g", got.WorstDrop, want.WorstDrop)
+		t.Fatalf("fallback WorstDrop %g, direct %g", got.WorstDrop, want.WorstDrop)
 	}
 	if got.WorstDropNode != want.WorstDropNode {
-		t.Fatalf("fallback worst node %+v, IC(0) %+v", got.WorstDropNode, want.WorstDropNode)
+		t.Fatalf("fallback worst node %+v, direct %+v", got.WorstDropNode, want.WorstDropNode)
 	}
 }

@@ -283,14 +283,17 @@ func (g *Grid) branchTemperature(b *Branch, j, tref float64) (float64, error) {
 
 // Nodal is a reusable nodal-analysis session over one (grid, loads)
 // pair. The mesh topology, per-branch geometry, pad set and load
-// injections are computed once at construction; each Solve then only
-// restamps the temperature-dependent conductances and runs an IC(0) CG
-// solve warm-started from the previous call's drop vector. That makes an
-// external electrothermal loop — the grid's own Solve, or a chip-level
-// coupled checker driving branch temperatures from a shared thermal
-// map — pay near-incremental cost per temperature update. Solve results
-// are deterministic (the CG kernels are bit-identical at any worker
-// count) but a Nodal is not safe for concurrent use.
+// injections are computed once at construction. The first Solve factors
+// the stamped conductance matrix (banded Cholesky in its short-side
+// order, when the band fits mathx.CholEntryBudget) and solves directly;
+// each later Solve only restamps the temperature-dependent conductances
+// and runs CG preconditioned by that first factor, warm-started from the
+// previous call's drop vector (see mathx.SPD). That makes an external
+// electrothermal loop — the grid's own Solve, or a chip-level coupled
+// checker driving branch temperatures from a shared thermal map — pay
+// a few sweeps per temperature update. Solve results are deterministic
+// (the kernels are bit-identical at any worker count) but a Nodal is
+// not safe for concurrent use.
 type Nodal struct {
 	g        *Grid
 	branches []Branch
@@ -312,8 +315,9 @@ type Nodal struct {
 	slots    [][4]int // Val slots per branch: (f,f),(f,t),(t,t),(t,f); -1 absent
 	padSlots []int    // diagonal slots of pad rows (identity stamp)
 	conds    []float64
-	// spd is the solve ladder over a without a direct rung: IC(0) CG,
-	// refactored in place after every restamp, then Jacobi CG.
+	// spd is the solve ladder over a, built by the first Solve on
+	// stamped values (a holds zeros until then) and marked stale by
+	// every later restamp.
 	spd *mathx.SPD
 	cg  mathx.CGScratch
 }
@@ -409,7 +413,6 @@ func (g *Grid) NewNodal(loads []Load) (*Nodal, error) {
 		}
 	}
 	nd.conds = make([]float64, len(nd.branches))
-	nd.spd = mathx.NewSPD(a, -1)
 	return nd, nil
 }
 
@@ -474,7 +477,11 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 	for _, k := range nd.padSlots {
 		a.Val[k] = 1
 	}
-	nd.spd.Refactor()
+	if nd.spd == nil {
+		nd.spd = mathx.NewSPD(a, mathx.CholEntryBudget/a.N)
+	} else {
+		nd.spd.Refactor()
+	}
 	if err := nd.spd.Solve(nd.rhsBase, nd.x, &nd.cg); err != nil {
 		return nil, fmt.Errorf("powergrid: IR drop: %w", err)
 	}

@@ -264,9 +264,9 @@ func TestNodalReuseMatchesSolve(t *testing.T) {
 }
 
 // TestSolveIntoAllocationFree pins the electrothermal pass at zero
-// allocations: after the first pass builds the IC(0) factor, each
-// restamp refactors it in place and the CG scratch, warm start and
-// Solution are reused.
+// allocations: after the first pass factors the stamped matrix, each
+// restamp only marks that factor stale, and the CG it preconditions
+// reuses the scratch, warm start and Solution.
 func TestSolveIntoAllocationFree(t *testing.T) {
 	g := testGrid()
 	nd, err := g.NewNodal([]Load{{Node{4, 4}, 0.5}})
@@ -282,7 +282,7 @@ func TestSolveIntoAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		temps[0] += 1 // a new temperature: restamp, refactor, re-solve
+		temps[0] += 1 // a new temperature: restamp, stale-factor CG
 		if sol, err = nd.SolveInto(context.Background(), temps, sol); err != nil {
 			t.Fatal(err)
 		}
