@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet fmt perfbench race chaos fuzz-smoke bench-smoke bench-json cover-chipcheck verify
+.PHONY: build test vet fmt perfbench race chaos fuzz-smoke bench-smoke bench-json bench-gate cover-chipcheck verify
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,14 @@ bench-json:
 	$(GO) test ./internal/mathx ./internal/fdm ./internal/rules ./internal/jobs ./internal/chipcheck ./internal/lifetime -run '^$$' \
 		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|BandCholesky|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|SampleRange|InvNormCDF' \
 		-benchtime 10x -count=5 | $(GO) run ./cmd/benchjson -next .
+
+# Kernel regression gate: compares the two newest BENCH_<n>.json records
+# benchmark by benchmark and fails when one is slower by more than 25%
+# with disjoint [min, max] ranges. It is not a CI step: on shared hosts
+# the noise between two runs is larger than the bound.
+bench-gate:
+	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 2); \
+	$(GO) run ./cmd/benchjson -compare "$$1" "$$2"
 
 verify: fmt build vet test perfbench race chaos fuzz-smoke bench-smoke cover-chipcheck
 	@echo "verify: all gates passed"

@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -50,5 +51,47 @@ func TestFoldAndSpeedups(t *testing.T) {
 	}
 	if sp[1].Name != "BenchmarkB" || sp[1].FastName != "batch" || sp[1].Resolved {
 		t.Errorf("B: %+v, want unresolved (ranges 100-140 and 90-120 overlap)", sp[1])
+	}
+}
+
+// TestCompare: -compare reports each shared benchmark's median ratio,
+// resolved only for disjoint ranges of repeated samples, lists the
+// benchmarks in one file only, and fails only on a resolved slowdown
+// past gateBound.
+func TestCompare(t *testing.T) {
+	b := func(name string, med, lo, hi float64, samples int) benchmark {
+		return benchmark{Name: name, NsPerOp: med, MinNs: lo, MaxNs: hi, Samples: samples}
+	}
+	old := report{Benchmarks: []benchmark{
+		b("BenchmarkFaster", 100, 95, 105, 5),
+		b("BenchmarkNoise", 100, 90, 130, 5),
+		b("BenchmarkSlowerInBound", 100, 98, 102, 5),
+		b("BenchmarkSlowerPastBound", 100, 98, 102, 5),
+		b("BenchmarkOverlapPastBound", 100, 80, 140, 5),
+		b("BenchmarkOneSample", 100, 0, 0, 0),
+		b("BenchmarkGone", 100, 90, 110, 5),
+	}}
+	for _, tc := range []struct {
+		name       string
+		n          benchmark
+		want       string
+		wantFailed bool
+	}{
+		{"faster", b("BenchmarkFaster", 60, 58, 64, 5), "0.600  resolved", false},
+		{"noise", b("BenchmarkNoise", 120, 110, 125, 5), "1.200  \n", false},
+		{"slower in bound", b("BenchmarkSlowerInBound", 120, 118, 123, 5), "1.200  resolved\n", false},
+		{"slower past bound", b("BenchmarkSlowerPastBound", 130, 127, 133, 5), "1.300  resolved, FAIL", true},
+		{"overlap past bound", b("BenchmarkOverlapPastBound", 150, 139, 160, 5), "1.500  \n", false},
+		{"one sample", b("BenchmarkOneSample", 200, 190, 210, 5), "2.000  no spread recorded", false},
+		{"new only", b("BenchmarkNew", 10, 9, 11, 5), "only in new: BenchmarkNew", false},
+	} {
+		var out strings.Builder
+		failed := compare(&out, old, report{Benchmarks: []benchmark{tc.n}})
+		if !strings.Contains(out.String(), tc.want) || failed != tc.wantFailed {
+			t.Errorf("%s: failed=%t, output\n%s\nwant failed=%t and %q", tc.name, failed, out.String(), tc.wantFailed, tc.want)
+		}
+		if !strings.Contains(out.String(), "only in old: BenchmarkGone") {
+			t.Errorf("%s: BenchmarkGone not listed as old-only:\n%s", tc.name, out.String())
+		}
 	}
 }

@@ -829,6 +829,69 @@ func TestTerminalPublishedAfterJournal(t *testing.T) {
 	}
 }
 
+// TestTerminalJobReleasesTask: a terminal job holds no task — the
+// compiled grid and coupled field of a chipcheck task would otherwise
+// stay live for as long as the job stays in the table — whether it
+// finished by running, was cancelled while queued, or was restored from
+// a terminal journal at boot.
+func TestTerminalJobReleasesTask(t *testing.T) {
+	release := make(chan struct{})
+	unstall := faultinject.Set(faultinject.SiteJobsStep, stallAfter(0, release))
+	defer unstall()
+	dir := t.TempDir()
+	m1, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running, err := m1.Submit(sweepReq(LaneBulk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if cur, _ := m1.Get(running.ID); cur.Status == StatusRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+	}
+	queued, err := m1.Submit(sweepReq(LaneBulk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if fin := waitDone(t, m1, running.ID); fin.Status != StatusDone {
+		t.Fatalf("running job: %s (%q)", fin.Status, fin.Error)
+	}
+	if fin := waitDone(t, m1, queued.ID); fin.Status != StatusCancelled {
+		t.Fatalf("queued job: %s", fin.Status)
+	}
+	holdsTask := func(m *Manager, id string) bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.jobs[id].task != nil
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if holdsTask(m1, id) {
+			t.Errorf("%s: terminal job still holds its task", id)
+		}
+	}
+	m1.Stop()
+
+	m2 := newTestManager(t, Config{Dir: dir})
+	for _, id := range []string{running.ID, queued.ID} {
+		if v, err := m2.Get(id); err != nil || !v.Status.Terminal() {
+			t.Fatalf("%s: restored as %+v, %v", id, v, err)
+		}
+		if holdsTask(m2, id) {
+			t.Errorf("%s: job restored from a terminal journal holds a task", id)
+		}
+	}
+}
+
 // TestInterruptedRewriteRemovedAtBoot: a daemon killed between an
 // atomic journal rewrite's temp file and its rename leaves
 // <id>.job.tmp<N> behind. The next boot deletes it, leaves quarantined

@@ -144,7 +144,7 @@ type job struct {
 	params    []byte
 	deadline  time.Duration
 	submitted time.Time
-	task      Task
+	task      Task // nil once the job is terminal
 
 	status  Status
 	chunks  int
@@ -378,6 +378,9 @@ func (m *Manager) restore(jf *journalFile) {
 	}
 	switch {
 	case j.status.Terminal():
+		// A finished job answers from its outcome alone (see terminal);
+		// the task was built only to validate the params.
+		j.task = nil
 		close(j.done)
 	default:
 		// queued or running at the time of the crash/stop: both resume
@@ -949,13 +952,16 @@ func (m *Manager) finalize(j *job) {
 // first, and only when that write returns (a failure is counted) do
 // views, Result and Done see the final state: a crash in between
 // resumes a job no client has seen finish. The job then releases its
-// chunk blobs; a finished job answers from its result or error alone.
+// chunk blobs and its task (a chipcheck task holds its compiled grid
+// and coupled field): a finished job answers from its result or error
+// alone, and up to MaxJobs of them stay in the table.
 func (m *Manager) terminal(j *job, st Status, errMsg string) {
 	m.persistTerminal(j, st, errMsg)
 	m.mu.Lock()
 	j.status = st
 	j.errMsg = errMsg
 	j.data = nil
+	j.task = nil
 	m.mu.Unlock()
 	close(j.done)
 }

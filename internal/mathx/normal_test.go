@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -105,6 +106,48 @@ func TestNormCDF(t *testing.T) {
 	}
 	if NormCDF(math.Inf(-1)) != 0 || NormCDF(math.Inf(1)) != 1 {
 		t.Error("NormCDF at ±Inf must be 0 and 1")
+	}
+}
+
+// TestInvNormCDFLog: the inverse from ln p agrees with
+// InvNormCDF(math.Exp(lnp)) to 4.5e-16 relative wherever exp(lnp) is a
+// normal float64 at most 0.075 (the tail piece, evaluated at √(−lnp)
+// instead of √(−ln exp(lnp))), equals it exactly above ln 0.075, and
+// keeps the endpoint conventions.
+func TestInvNormCDFLog(t *testing.T) {
+	lo, hi := math.Log(0x1p-1022), math.Log(0.075)
+	lnps := []float64{lo, hi, math.Nextafter(hi, 0), math.Nextafter(hi, math.Inf(-1)), math.Log(1e-300), -25}
+	for i := 0; i <= 20000; i++ {
+		lnps = append(lnps, lo+(hi-lo)*float64(i)/20000)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200000; i++ {
+		lnps = append(lnps, lo+(hi-lo)*rng.Float64(), hi*(1+3*rng.Float64()))
+	}
+	worst := 0.0
+	for _, lnp := range lnps {
+		p := math.Exp(lnp)
+		if p < 0x1p-1022 || p > 0.075 {
+			continue
+		}
+		got, want := InvNormCDFLog(lnp), InvNormCDF(p)
+		rel := math.Abs(got-want) / math.Abs(want)
+		worst = max(worst, rel)
+		if rel > 4.5e-16 {
+			t.Fatalf("lnp=%.17g: %.17g, InvNormCDF(exp(lnp)) = %.17g (relative %.2g)", lnp, got, want, rel)
+		}
+	}
+	t.Logf("worst relative difference %.2g", worst)
+	for lnp := hi; lnp <= 0; lnp += 0.0007 {
+		if got, want := InvNormCDFLog(lnp), InvNormCDF(math.Exp(lnp)); got != want {
+			t.Fatalf("lnp=%.17g above the tail: %.17g, want InvNormCDF(exp(lnp)) = %.17g", lnp, got, want)
+		}
+	}
+	if !math.IsInf(InvNormCDFLog(math.Inf(-1)), -1) || !math.IsInf(InvNormCDFLog(0), 1) {
+		t.Error("lnp = −Inf and 0 must give −Inf and +Inf")
+	}
+	if !math.IsNaN(InvNormCDFLog(0.1)) || !math.IsNaN(InvNormCDFLog(math.NaN())) {
+		t.Error("lnp > 0 and NaN must give NaN")
 	}
 }
 

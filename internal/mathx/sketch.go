@@ -19,7 +19,8 @@ var ErrSketch = errors.New("mathx: invalid quantile sketch")
 // estimate 2γ^k/(γ+1) is within relative error α of v. Negative values
 // use a mirrored bin store and zeros an exact counter, so the full real
 // line is covered. NaNs and ±Inf are rejected (counted, never
-// aggregated), and the exact min, max and count ride along.
+// aggregated), and the exact min, max and count ride along. A stream
+// held in log space enters through AddLog, which bins ln v directly.
 //
 // Determinism is structural, not scheduled: the state is a set of
 // integer bin counters, and Merge is element-wise counter addition —
@@ -43,7 +44,12 @@ type QuantileSketch struct {
 	rejected uint64 // NaN/±Inf inputs dropped by Add
 	zeros    uint64
 	min, max float64
-	neg, pos map[int32]uint64 // neg is keyed on |v|
+	// lnMin and lnMax bound min and max in log space for AddLog: every
+	// x with exp(x) < min has x < lnMin, and every x with exp(x) > max
+	// has x > lnMax, so AddLog evaluates exp only for an x past one of
+	// them and confirms it against the exact value.
+	lnMin, lnMax float64
+	neg, pos     map[int32]uint64 // neg is keyed on |v|
 }
 
 // NewQuantileSketch returns an empty sketch with relative accuracy
@@ -60,6 +66,8 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 		invLnGamma: 1 / math.Log(gamma),
 		min:        math.Inf(1),
 		max:        math.Inf(-1),
+		lnMin:      math.Inf(1),
+		lnMax:      math.Inf(-1),
 		neg:        make(map[int32]uint64),
 		pos:        make(map[int32]uint64),
 	}
@@ -111,11 +119,59 @@ func (s *QuantileSketch) Add(v float64) {
 	}
 	s.count++
 	if v < s.min {
-		s.min = v
+		s.min, s.lnMin = v, lnEdge(v, 1)
 	}
 	if v > s.max {
-		s.max = v
+		s.max, s.lnMax = v, lnEdge(v, -1)
 	}
+}
+
+// The range of x over which AddLog bins x itself: exp(x) is a finite
+// normal float64 throughout, so ln(exp(x)) is x to within its rounding.
+// The top stays below ln MaxFloat64 ≈ 709.78 because math.Exp's amd64
+// assembly already returns +Inf from x ≈ 709.44.
+const (
+	addLogLo = -708
+	addLogHi = 709
+)
+
+// AddLog aggregates exp(x), as Add(math.Exp(x)) would, for a caller that
+// holds its values in log space: x is binned directly as ⌈x/ln γ⌉, and
+// exp is evaluated only when x is a candidate new min or max, which is
+// kept as the exact value exp(x). Outside [addLogLo, addLogHi], where
+// exp(x) may be subnormal, 0 or +Inf, and for NaN, it is
+// Add(math.Exp(x)).
+func (s *QuantileSketch) AddLog(x float64) {
+	if !(x >= addLogLo && x <= addLogHi) {
+		s.Add(math.Exp(x))
+		return
+	}
+	s.pos[int32(math.Ceil(x*s.invLnGamma))]++
+	s.count++
+	if x < s.lnMin || x > s.lnMax {
+		// exp is monotone, so x itself bounds the new extreme.
+		v := math.Exp(x)
+		if v < s.min {
+			s.min, s.lnMin = v, x
+		}
+		if v > s.max {
+			s.max, s.lnMax = v, x
+		}
+	}
+}
+
+// lnEdge is the log-domain bound of an extreme v set by value (Add,
+// Merge, decode): ln v moved outward — up for a min (dir = 1), down for
+// a max (dir = −1) — by 1e-15·(1 + |ln v|), more than the rounding of
+// log and exp together, so no x whose exp passes v falls inside it. A
+// v ≤ 0 has no logarithm: no exp(x) is below such a min and every
+// positive one is above such a max, so both bounds are −Inf.
+func lnEdge(v, dir float64) float64 {
+	if v <= 0 {
+		return math.Inf(-1)
+	}
+	l := math.Log(v)
+	return l + dir*1e-15*(1+math.Abs(l))
 }
 
 // Merge folds o into s. Both sketches must have been built with the
@@ -129,10 +185,10 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) error {
 	s.rejected += o.rejected
 	s.zeros += o.zeros
 	if o.min < s.min {
-		s.min = o.min
+		s.min, s.lnMin = o.min, o.lnMin
 	}
 	if o.max > s.max {
-		s.max = o.max
+		s.max, s.lnMax = o.max, o.lnMax
 	}
 	for k, c := range o.neg {
 		s.neg[k] += c
@@ -306,5 +362,6 @@ func DecodeQuantileSketch(data []byte) (*QuantileSketch, error) {
 	} else if s.min > s.max || math.IsInf(s.min, 0) || math.IsInf(s.max, 0) {
 		return nil, fmt.Errorf("%w: min %g / max %g", ErrSketch, s.min, s.max)
 	}
+	s.lnMin, s.lnMax = lnEdge(s.min, 1), lnEdge(s.max, -1)
 	return s, nil
 }

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -227,6 +228,150 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 		if _, err := DecodeQuantileSketch(mut(append([]byte(nil), enc...))); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
+	}
+}
+
+// sameState fails unless a and b encode to the same bytes: alpha,
+// counts, min, max and every bin.
+func sameState(t *testing.T, what string, a, b *QuantileSketch) {
+	t.Helper()
+	ea, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ea, eb) {
+		t.Fatalf("%s: AddLog state differs from Add(exp): count %d/%d rejected %d/%d min %.17g/%.17g max %.17g/%.17g",
+			what, a.Count(), b.Count(), a.Rejected(), b.Rejected(), a.Min(), b.Min(), a.Max(), b.Max())
+	}
+}
+
+// TestSketchAddLogMatchesAdd: a stream of 1e5 log-domain adds, lifetimes
+// in seconds and values spread over most of exp's range, leaves the same
+// bins, count, min and max as adding exp of each.
+func TestSketchAddLogMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	lg, ex := NewQuantileSketch(0.001), NewQuantileSketch(0.001)
+	for i := 0; i < 100000; i++ {
+		x := 15 + 2*rng.NormFloat64()
+		if i%10 == 0 {
+			x = -700 + 1400*rng.Float64()
+		}
+		lg.AddLog(x)
+		ex.Add(math.Exp(x))
+	}
+	sameState(t, "1e5 adds", lg, ex)
+}
+
+// TestSketchAddLogOutsideExpRange: NaN, ±Inf, and x whose exp is
+// subnormal, underflows to 0 or overflows are handled exactly as
+// Add(math.Exp(x)) handles them — rejected, counted as zeros, or binned
+// from the rounded value — on an empty sketch and between ordinary adds.
+func TestSketchAddLogOutsideExpRange(t *testing.T) {
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -745.2, -746, -800, -1e300,
+		-740, -708.5, -708.396, -708, 709, 709.2, 709.44, 709.5, 709.78, 709.7827, 709.79, 710, 1e300}
+	for _, x := range odd {
+		lg, ex := NewQuantileSketch(0.01), NewQuantileSketch(0.01)
+		lg.AddLog(x)
+		ex.Add(math.Exp(x))
+		sameState(t, fmt.Sprintf("x=%v alone", x), lg, ex)
+		for _, y := range []float64{3, -2, 700, x, 1} {
+			lg.AddLog(y)
+			ex.Add(math.Exp(y))
+		}
+		sameState(t, fmt.Sprintf("x=%v among ordinary adds", x), lg, ex)
+	}
+	lg, ex := NewQuantileSketch(0.01), NewQuantileSketch(0.01)
+	for _, x := range odd {
+		lg.AddLog(x)
+		ex.Add(math.Exp(x))
+	}
+	sameState(t, "all of them", lg, ex)
+}
+
+// checkLnBounds fails unless s's log-domain extremes are the tight
+// bounds AddLog relies on: each within the lnEdge slack of the log of
+// its exact extreme, so no x past it is missed and exp runs only for an
+// x within rounding of a new extreme.
+func checkLnBounds(t *testing.T, what string, s *QuantileSketch) {
+	t.Helper()
+	if l := math.Log(s.min); !(s.lnMin <= lnEdge(s.min, 1) && s.lnMin >= lnEdge(s.min, -1)) {
+		t.Fatalf("%s: lnMin %.17g does not bracket ln min = %.17g", what, s.lnMin, l)
+	}
+	if l := math.Log(s.max); !(s.lnMax >= lnEdge(s.max, -1) && s.lnMax <= lnEdge(s.max, 1)) {
+		t.Fatalf("%s: lnMax %.17g does not bracket ln max = %.17g", what, s.lnMax, l)
+	}
+}
+
+// TestSketchAddLogAfterMergeAndDecode: log-domain adds after a Merge,
+// after a decode and after a plain Add keep min and max exact, including
+// x within a few ulps of the log of the current extreme, where the
+// log-domain bounds set from a value (not from an AddLog of its own)
+// must not skip a value that exp rounds past it.
+func TestSketchAddLogAfterMergeAndDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	// probe adds x near ln min and ln max to both sketches, ulp by ulp.
+	probe := func(lg, ex *QuantileSketch) {
+		for _, l := range []float64{math.Log(lg.Min()), math.Log(lg.Max())} {
+			x := l
+			for k := 0; k < 3; k++ {
+				x = math.Nextafter(x, math.Inf(-1))
+			}
+			for k := 0; k < 7; k++ {
+				lg.AddLog(x)
+				ex.Add(math.Exp(x))
+				x = math.Nextafter(x, math.Inf(1))
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		a, b := NewQuantileSketch(0.001), NewQuantileSketch(0.001)
+		ref := NewQuantileSketch(0.001)
+		for i := 0; i < 20; i++ {
+			x, y := 10+rng.NormFloat64(), 10+3*rng.NormFloat64()
+			a.AddLog(x)
+			b.AddLog(y)
+			ref.Add(math.Exp(x))
+			ref.Add(math.Exp(y))
+		}
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		checkLnBounds(t, "after Merge", a)
+		for i := 0; i < 20; i++ {
+			x := 10 + 4*rng.NormFloat64()
+			a.AddLog(x)
+			ref.Add(math.Exp(x))
+		}
+		probe(a, ref)
+		sameState(t, fmt.Sprintf("trial %d after Merge", trial), a, ref)
+
+		enc, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeQuantileSketch(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLnBounds(t, "after decode", dec)
+		probe(dec, ref)
+		for i := 0; i < 20; i++ {
+			x := 10 + 5*rng.NormFloat64()
+			dec.AddLog(x)
+			ref.Add(math.Exp(x))
+		}
+		sameState(t, fmt.Sprintf("trial %d after decode", trial), dec, ref)
+
+		v := dec.Min() * (1 - rng.Float64()*1e-3)
+		dec.Add(v)
+		ref.Add(v)
+		checkLnBounds(t, "after Add", dec)
+		probe(dec, ref)
+		sameState(t, fmt.Sprintf("trial %d after Add", trial), dec, ref)
 	}
 }
 
