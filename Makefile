@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test ./internal/jobs -run '^$$' -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chipcheck -run '^$$' -fuzz FuzzCompileParams -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathx -run '^$$' -fuzz FuzzSketchDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/em -run '^$$' -fuzz FuzzChipDrawBound -fuzztime $(FUZZTIME)
 
 # Coverage gate for the signoff engine: the coupled-loop/verdict/report
 # paths are the correctness core of /v1/chipcheck, so regressions in test
@@ -87,6 +88,19 @@ bench-json:
 # benchmark by benchmark and fails when one is slower by more than 25%
 # with disjoint [min, max] ranges. It is not a CI step: on shared hosts
 # the noise between two runs is larger than the bound.
+#
+# To judge a code change rather than two days' hosts, build the test
+# binary of each tree and run them alternately, back to back, then
+# compare the raw outputs (-compare reads go test -bench text as well as
+# records):
+#
+#	go test -c -o old.test ./internal/lifetime    # in the parent tree
+#	go test -c -o new.test ./internal/lifetime    # in the changed tree
+#	for i in 1 2 3 4 5 6; do
+#		./old.test -test.run '^$$' -test.bench SampleRange -test.benchtime 10x -test.benchmem -test.timeout 10m >> old.bench
+#		./new.test -test.run '^$$' -test.bench SampleRange -test.benchtime 10x -test.benchmem -test.timeout 10m >> new.bench
+#	done
+#	go run ./cmd/benchjson -compare old.bench new.bench
 bench-gate:
 	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 2); \
 	$(GO) run ./cmd/benchjson -compare "$$1" "$$2"

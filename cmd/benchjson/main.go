@@ -12,17 +12,20 @@
 // so `make bench-json` appends to the perf trajectory instead of
 // clobbering the previous run's file.
 //
-// With -compare OLD.json NEW.json it reads two records instead and
-// prints, for each benchmark in both, the old and new median ns/op and
-// their ratio, marked resolved when the two [min, max] ranges (each from
-// repeated samples) are disjoint, then the benchmarks found in only one
-// file. It exits 1 when
-// a benchmark is resolved slower by more than gateBound (`make
-// bench-gate` compares the two newest BENCH files this way).
+// With -compare OLD NEW it reads two records instead and prints, for
+// each benchmark in both, the old and new median ns/op and their ratio,
+// marked resolved when the two [min, max] ranges (each from repeated
+// samples) are disjoint, then the benchmarks found in only one file. It
+// exits 1 when a benchmark is resolved slower by more than gateBound
+// (`make bench-gate` compares the two newest BENCH files this way). OLD
+// and NEW are each a JSON record or raw `go test -bench` text (anything
+// that does not start with '{'), folded as stdin is, so the outputs of
+// two test binaries run alternately, back to back, compare directly.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -71,23 +74,21 @@ type report struct {
 
 func main() {
 	nextDir := flag.String("next", "", "write to DIR/BENCH_<n>.json, auto-incrementing n past the highest existing index (empty = stdout)")
-	cmp := flag.Bool("compare", false, "compare two records: benchjson -compare OLD.json NEW.json")
+	cmp := flag.Bool("compare", false, "compare two records: benchjson -compare OLD NEW (each a JSON record or raw go test -bench text)")
 	flag.Parse()
 	if *cmp {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs OLD.json NEW.json")
+			fmt.Fprintln(os.Stderr, "benchjson: -compare needs OLD and NEW")
 			os.Exit(2)
 		}
 		var recs [2]report
 		for i, path := range flag.Args() {
-			data, err := os.ReadFile(path)
-			if err == nil {
-				err = json.Unmarshal(data, &recs[i])
-			}
+			rep, err := readRecord(path)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchjson:", err)
 				os.Exit(2)
 			}
+			recs[i] = rep
 		}
 		fmt.Printf("benchjson: %s -> %s\n", flag.Arg(0), flag.Arg(1))
 		if compare(os.Stdout, recs[0], recs[1]) {
@@ -95,31 +96,11 @@ func main() {
 		}
 		return
 	}
-	rep := report{Context: map[string]string{}}
-	var samples []benchmark
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		for _, key := range []string{"goos", "goarch", "cpu", "pkg"} {
-			if v, ok := strings.CutPrefix(line, key+": "); ok {
-				// Keep every pkg seen; the others are identical per run.
-				if key == "pkg" && rep.Context["pkg"] != "" {
-					v = rep.Context["pkg"] + " " + v
-				}
-				rep.Context[key] = v
-			}
-		}
-		if b, ok := parseBenchLine(line); ok {
-			samples = append(samples, b)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parseText(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	rep.Benchmarks = fold(samples)
-	rep.Speedups = deriveSpeedups(rep.Benchmarks)
 	out := os.Stdout
 	if *nextDir != "" {
 		path, err := nextBenchPath(*nextDir)
@@ -142,6 +123,50 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// parseText folds `go test -bench` text into a record: the run context,
+// one entry per benchmark and the derived speedups.
+func parseText(r io.Reader) (report, error) {
+	rep := report{Context: map[string]string{}}
+	var samples []benchmark
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		for _, key := range []string{"goos", "goarch", "cpu", "pkg"} {
+			if v, ok := strings.CutPrefix(line, key+": "); ok {
+				// Keep every pkg seen; the others are identical per run.
+				if key == "pkg" && rep.Context["pkg"] != "" {
+					v = rep.Context["pkg"] + " " + v
+				}
+				rep.Context[key] = v
+			}
+		}
+		if b, ok := parseBenchLine(line); ok {
+			samples = append(samples, b)
+		}
+	}
+	rep.Benchmarks = fold(samples)
+	rep.Speedups = deriveSpeedups(rep.Benchmarks)
+	return rep, sc.Err()
+}
+
+// readRecord reads one -compare operand: a JSON record, or raw
+// `go test -bench` text when the file does not start with '{'.
+func readRecord(path string) (report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return report{}, err
+	}
+	if t := bytes.TrimSpace(data); len(t) == 0 || t[0] != '{' {
+		return parseText(bytes.NewReader(data))
+	}
+	var rep report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return report{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return rep, nil
 }
 
 var benchFileRe = regexp.MustCompile(`^BENCH_(\d+)\.json$`)

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -93,5 +96,50 @@ func TestCompare(t *testing.T) {
 		if !strings.Contains(out.String(), "only in old: BenchmarkGone") {
 			t.Errorf("%s: BenchmarkGone not listed as old-only:\n%s", tc.name, out.String())
 		}
+	}
+}
+
+// TestReadRecordRawText: a -compare operand that does not start with '{'
+// is raw `go test -bench` text and folds as stdin does, so two test
+// binaries' outputs run back to back compare without a JSON step; an
+// operand that does is read as a record.
+func TestReadRecordRawText(t *testing.T) {
+	dir := t.TempDir()
+	text := "goos: linux\npkg: dsmtherm/internal/lifetime\n" +
+		"BenchmarkSampleRange-2   10   80000000 ns/op   25 allocs/op\n" +
+		"BenchmarkSampleRange-2   10   82000000 ns/op   25 allocs/op\n" +
+		"BenchmarkSampleRange-2   10   79000000 ns/op   25 allocs/op\n" +
+		"PASS\nok  dsmtherm/internal/lifetime 3.1s\n"
+	oldPath := filepath.Join(dir, "old.txt")
+	if err := os.WriteFile(oldPath, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := report{Benchmarks: []benchmark{{Name: "BenchmarkSampleRange", Runs: 10, NsPerOp: 44e6, MinNs: 42e6, MaxNs: 47e6, Samples: 3}}}
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPath := filepath.Join(dir, "new.json")
+	if err := os.WriteFile(newPath, append([]byte("\n "), data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := readRecord(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []benchmark{{Name: "BenchmarkSampleRange", Runs: 10, NsPerOp: 80e6, MinNs: 79e6, MaxNs: 82e6, Samples: 3, Metrics: map[string]float64{"allocs/op": 25}}}
+	if !reflect.DeepEqual(prev.Benchmarks, want) || prev.Context["pkg"] != "dsmtherm/internal/lifetime" {
+		t.Fatalf("raw text read as %+v (context %v), want %+v", prev.Benchmarks, prev.Context, want)
+	}
+	cur, err := readRecord(newPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cur.Benchmarks, rec.Benchmarks) {
+		t.Fatalf("JSON record read as %+v, want %+v", cur.Benchmarks, rec.Benchmarks)
+	}
+	var out strings.Builder
+	if compare(&out, prev, cur) || !strings.Contains(out.String(), "0.550  resolved") {
+		t.Fatalf("compare text -> record:\n%s", out.String())
 	}
 }

@@ -172,9 +172,10 @@ func TestChipDrawMatchesDirectExpression(t *testing.T) {
 		{Classes: []SegmentClass{{Count: 1000000, Median: 3e9, Sigma: 0.5}, {Count: 5000, Median: 4e8, Sigma: 0.5}, {Count: 300, Median: 1e8, Sigma: 0.5}}, Rho: 0.9},
 	} {
 		d := m.Draw()
+		us := make([]float64, len(m.Classes))
 		a, b, c := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 		for i := 0; i < 20000; i++ {
-			got, want := d.LnTTF(a), math.Log(direct(&m, b))
+			got, want := d.LnTTF(a, us), math.Log(direct(&m, b))
 			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-14 {
 				t.Fatalf("%d classes, draw %d: ln TTF %.17g, direct %.17g (relative %.2g)", len(m.Classes), i, got, want, rel)
 			}
@@ -183,4 +184,171 @@ func TestChipDrawMatchesDirectExpression(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exhaustiveLnTTF is the draw without the dominance skip, the reference
+// the pruned draw must reproduce bit for bit: every class evaluated in
+// slice order, each from its own uniform, with the per-class constants
+// and the expression the draw uses.
+func exhaustiveLnTTF(m *ChipModel, rng *rand.Rand) float64 {
+	sc, si := math.Sqrt(m.Rho), math.Sqrt(1-m.Rho)
+	zc := rng.NormFloat64()
+	x := math.Inf(1)
+	for _, c := range m.Classes {
+		lnMedian, csc, csi := math.Log(c.Median), c.Sigma*sc, c.Sigma*si
+		t := lnMedian + csc*zc + csi*mathx.InvNormCDFLog(lnWeakestLevel(rng.Float64(), float64(c.Count)))
+		if t < x {
+			x = t
+		}
+	}
+	return x
+}
+
+// skipBound returns B(e) for class c and uniform u, the bound
+// Φ⁻¹(p) ≥ −B the skip test relies on, from the constants and the
+// exponent read the test uses (its squared form is B²·σ²(1−ρ)).
+func skipBound(c *classDraw, u float64) float64 {
+	return math.Sqrt(c.bound2*max(0, c.log2n1-log2Floor(u))) / c.si
+}
+
+// drawOf returns the prepared class that model class idx became.
+func drawOf(t testing.TB, d *ChipDraw, idx int) *classDraw {
+	for i := range d.classes {
+		if d.classes[i].idx == idx {
+			return &d.classes[i]
+		}
+	}
+	t.Fatalf("class %d missing from the draw", idx)
+	return nil
+}
+
+// TestChipSkipBound: the computed level the draw would evaluate,
+// Φ⁻¹ = InvNormCDFLog(lnWeakestLevel(u, n)), is never below −B(e), the
+// bound the skip test prunes with, for n from 1 to 2³¹ at every power
+// of two 2^−k (k = 1…63) and its two neighbours, at 1 − 2⁻⁵³, at u = 0,
+// and at 2e5 random u per n (half uniform, half log-uniform down to
+// 2⁻⁶³). The bound is tight (margin 0) only at n = 1, u = ½, which is
+// why the skip test carries a slack.
+func TestChipSkipBound(t *testing.T) {
+	us := []float64{0, 1 - 0x1p-53}
+	for k := 1; k <= 63; k++ {
+		u := math.Ldexp(1, -k)
+		us = append(us, math.Nextafter(u, 0), u, math.Nextafter(u, 1))
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 100000; i++ {
+		us = append(us, rng.Float64(), math.Ldexp(1+rng.Float64(), -1-rng.Intn(63)))
+	}
+	worst, worstN, worstU := math.Inf(1), 0.0, 0.0
+	for _, n := range []float64{1, 2, 3, 7, 300, 5000, 2e5, 1e7, 1 << 31} {
+		m := ChipModel{Classes: []SegmentClass{{Count: int(n), Median: 1, Sigma: 1}}}
+		d := m.Draw()
+		c := drawOf(t, &d, 0)
+		for _, u := range us {
+			y := mathx.InvNormCDFLog(lnWeakestLevel(u, n))
+			b := skipBound(c, u)
+			if y < -b {
+				t.Fatalf("n=%g u=%.17g (e=%g): Φ⁻¹(p) = %.17g below the bound −%.17g", n, u, log2Floor(u), y, b)
+			}
+			if margin := y + b; margin < worst {
+				worst, worstN, worstU = margin, n, u
+			}
+		}
+	}
+	t.Logf("worst margin %.3g at n=%g u=%.17g", worst, worstN, worstU)
+}
+
+// randomCensus draws a census for the skip tests: classes whose medians
+// spread over a few σ so that the minimum moves between them, σ from 0.1
+// to 5 per class, counts log-uniform from 1 to 1e6, ρ up to 0.999.
+func randomCensus(rng *rand.Rand, classes int) ChipModel {
+	m := ChipModel{Rho: []float64{0, 0.3, 0.9, 0.999, rng.Float64() * 0.999}[rng.Intn(5)]}
+	for i := 0; i < classes; i++ {
+		sigma := 0.1 + 4.9*rng.Float64()
+		m.Classes = append(m.Classes, SegmentClass{
+			Count:  int(math.Exp(rng.Float64() * math.Log(1e6))),
+			Median: math.Exp(20 + 2*sigma*rng.NormFloat64()),
+			Sigma:  sigma,
+		})
+	}
+	return m
+}
+
+// TestChipDrawMatchesExhaustive: the pruned LnTTF returns the same float
+// as the exhaustive loop on the same RNG stream — bit-identical, so every
+// sketch bin, quantile and extreme of a lifetime report is unchanged —
+// on 300 random censuses of 1–8 classes and 4096 classes, on identical
+// classes (where most draws evaluate several) and one-class censuses, and
+// on a tiered census where the hottest class always holds the minimum.
+func TestChipDrawMatchesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	type census struct {
+		m     ChipModel
+		draws int
+	}
+	var cs []census
+	for i := 0; i < 300; i++ {
+		if i%50 == 49 {
+			cs = append(cs, census{randomCensus(rng, 4096), 40})
+			continue
+		}
+		cs = append(cs, census{randomCensus(rng, 1+rng.Intn(8)), 2000})
+	}
+	for _, rho := range []float64{0, 0.3, 0.9} {
+		for _, n := range []int{1, 300} {
+			one := SegmentClass{Count: n, Median: 3e8, Sigma: 0.5}
+			cs = append(cs,
+				census{ChipModel{Classes: []SegmentClass{one}, Rho: rho}, 20000},
+				census{ChipModel{Classes: []SegmentClass{one, one, one}, Rho: rho}, 20000})
+		}
+		cs = append(cs, census{ChipModel{Classes: []SegmentClass{
+			{Count: 200000, Median: 3e10, Sigma: 0.5}, {Count: 5000, Median: 2e9, Sigma: 0.5}, {Count: 300, Median: 1e8, Sigma: 0.5},
+		}, Rho: rho}, 20000})
+	}
+	for ci, c := range cs {
+		d := c.m.Draw()
+		us := make([]float64, len(c.m.Classes))
+		seed := rng.Int63()
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < c.draws; i++ {
+			if got, want := d.LnTTF(a, us), exhaustiveLnTTF(&c.m, b); got != want {
+				t.Fatalf("census %d (%d classes, rho %g), draw %d: pruned %.17g, exhaustive %.17g", ci, len(c.m.Classes), c.m.Rho, i, got, want)
+			}
+		}
+	}
+}
+
+// FuzzChipDrawBound fuzzes a uniform's bits, a class size, σ and ρ: the
+// computed weakest-of-n level of that uniform must respect the skip
+// bound, and the pruned draw of a census built around the class must
+// equal the exhaustive one.
+func FuzzChipDrawBound(f *testing.F) {
+	f.Add(uint64(0x3fe0000000000000), uint32(1), 0.5, 0.3, 0.0)
+	f.Add(uint64(0x3c00000000000000), uint32(300), 5.0, 0.999, 2.0)
+	f.Add(uint64(1), uint32(1<<31-1), 0.1, 0.0, -3.0)
+	f.Add(uint64(0), uint32(7), 1.0, 0.9, 0.5)
+	f.Fuzz(func(t *testing.T, ubits uint64, n uint32, sigma, rho, shift float64) {
+		u := math.Float64frombits(ubits &^ (1 << 63))
+		if !(u < 1) || n == 0 || !(sigma > 0 && sigma <= 5) || !(rho >= 0 && rho < 1) || !(math.Abs(shift) <= 20) {
+			t.Skip()
+		}
+		m := ChipModel{Classes: []SegmentClass{
+			{Count: int(n), Median: 1e9, Sigma: sigma},
+			{Count: 1 + int(n/300), Median: 1e9 * math.Exp(shift), Sigma: 0.5 * sigma},
+			{Count: 1, Median: 1e9 * math.Exp(-shift), Sigma: sigma},
+		}, Rho: rho}
+		d := m.Draw()
+		c := drawOf(t, &d, 0)
+		y := mathx.InvNormCDFLog(lnWeakestLevel(u, float64(n)))
+		if b := skipBound(c, u); y < -b {
+			t.Fatalf("n=%d u=%.17g: Φ⁻¹(p) = %.17g below the bound −%.17g", n, u, y, b)
+		}
+		us := make([]float64, len(m.Classes))
+		a, b := rand.New(rand.NewSource(int64(ubits))), rand.New(rand.NewSource(int64(ubits)))
+		for i := 0; i < 64; i++ {
+			if got, want := d.LnTTF(a, us), exhaustiveLnTTF(&m, b); got != want {
+				t.Fatalf("draw %d: pruned %.17g, exhaustive %.17g", i, got, want)
+			}
+		}
+	})
 }

@@ -19,9 +19,31 @@ func benchParams(rho float64, seed int64) Params {
 
 // BenchmarkSampleRange times the synchronous route's kernel at its
 // default cap: 200k chip samples of a 3-class census at ρ = 0.3 drawn
-// into one sketch.
+// into one sketch. Its hottest class holds the chip minimum in every
+// sample, so the draw evaluates one class and skips two.
 func BenchmarkSampleRange(b *testing.B) {
-	m, err := Compile(benchParams(0.3, 17))
+	benchSampleRange(b, benchParams(0.3, 17))
+}
+
+// BenchmarkSampleRangeOneClass is the kernel with nothing to skip: the
+// census is the hottest class alone.
+func BenchmarkSampleRangeOneClass(b *testing.B) {
+	p := benchParams(0.3, 17)
+	p.Segments = p.Segments[2:]
+	benchSampleRange(b, p)
+}
+
+// BenchmarkSampleRangeEqualClasses is the kernel's worst census: three
+// identical classes, each as likely as the others to hold the minimum,
+// so most samples evaluate more than one.
+func BenchmarkSampleRangeEqualClasses(b *testing.B) {
+	p := benchParams(0.3, 17)
+	p.Segments = []SegmentSpec{p.Segments[2], p.Segments[2], p.Segments[2]}
+	benchSampleRange(b, p)
+}
+
+func benchSampleRange(b *testing.B, p Params) {
+	m, err := Compile(p)
 	if err != nil {
 		b.Fatal(err)
 	}

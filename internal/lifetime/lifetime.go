@@ -214,9 +214,10 @@ func (m *Model) SampleRange(sk *mathx.QuantileSketch, lo, hi int) error {
 	}
 	src := &mathx.SplitMix64{}
 	rng := rand.New(src)
+	us := make([]float64, len(m.Chip.Classes))
 	for s := lo; s < hi; s++ {
 		src.Seed(mathx.SeedMix(m.Seed, s))
-		sk.AddLog(m.draw.LnTTF(rng))
+		sk.AddLog(m.draw.LnTTF(rng, us))
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"dsmtherm/internal/em"
@@ -79,7 +80,9 @@ func TestCompileValidation(t *testing.T) {
 
 // TestSampleRangeChunkedMergeBitIdentical is the streaming-engine
 // invariant: any chunk grid, sampled into separate sketches and merged
-// in any order, encodes byte-identically to one uninterrupted pass.
+// in any order, encodes byte-identically to one uninterrupted pass. The
+// chunks are drawn concurrently from one Model, as job workers draw
+// them, so the race detector sees the shared draw.
 func TestSampleRangeChunkedMergeBitIdentical(t *testing.T) {
 	m, err := Compile(testParams())
 	if err != nil {
@@ -96,12 +99,21 @@ func TestSampleRangeChunkedMergeBitIdentical(t *testing.T) {
 
 	bounds := []int{0, 13, 640, 641, 1500, m.Samples}
 	parts := make([][]byte, len(bounds)-1)
-	for c := 0; c < len(bounds)-1; c++ {
-		sk := NewSketch()
-		if err := m.SampleRange(sk, bounds[c], bounds[c+1]); err != nil {
-			t.Fatal(err)
-		}
-		if parts[c], err = sk.MarshalBinary(); err != nil {
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for c := range parts {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			sk := NewSketch()
+			if errs[c] = m.SampleRange(sk, bounds[c], bounds[c+1]); errs[c] == nil {
+				parts[c], errs[c] = sk.MarshalBinary()
+			}
+		}(c)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -122,17 +123,30 @@ func TestChipcheckJobNearIdleLoad(t *testing.T) {
 }
 
 // TestWriteJSONNonFinite: a reply JSON cannot carry (an Inf) must be a
-// structured 422 numeric_failure, not a 200 with an empty body.
+// structured 422 numeric_failure, not a 200 with an empty body, with no
+// partial encoding ahead of the error; and the pooled encoder it used
+// must serve the next reply with only that reply's bytes.
 func TestWriteJSONNonFinite(t *testing.T) {
-	rec := httptest.NewRecorder()
-	if writeJSON(rec, http.StatusOK, map[string]float64{"ratio": math.Inf(1)}) {
-		t.Error("writeJSON reported an unencodable body as written")
-	}
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422: %q", rec.Code, rec.Body.String())
-	}
-	if code := errorCode(t, rec.Body.Bytes()); code != "numeric_failure" {
-		t.Fatalf("code %q, want numeric_failure", code)
+	bad := struct {
+		OK    string
+		Ratio float64
+	}{OK: strings.Repeat("x", 100), Ratio: math.Inf(1)}
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		if writeJSON(rec, http.StatusOK, bad) {
+			t.Error("writeJSON reported an unencodable body as written")
+		}
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("status %d, want 422: %q", rec.Code, rec.Body.String())
+		}
+		if code := errorCode(t, rec.Body.Bytes()); code != "numeric_failure" {
+			t.Fatalf("code %q, want numeric_failure", code)
+		}
+		good := map[string]int{"n": i}
+		rec = httptest.NewRecorder()
+		if !writeJSON(rec, http.StatusOK, good) || !bytes.Equal(rec.Body.Bytes(), wantIndented(t, good)) {
+			t.Fatalf("reply after a failed encode: %q", rec.Body.Bytes())
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -383,15 +384,51 @@ func (w *statusWriter) WriteHeader(code int) {
 // the encoder rejects (a ±Inf or NaN field) is answered as a 422
 // numeric_failure rather than an empty 200; that, or a failed write (the
 // client is gone, so there is no one to tell), returns false, and
-// handlers count a completed request only on true.
+// handlers count a completed request only on true. The bytes are
+// json.MarshalIndent's plus a newline: Encode ends the compact form with
+// one and Indent keeps trailing space.
 func writeJSON(w http.ResponseWriter, status int, v any) bool {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	e := jsonEncoders.Get().(*jsonEncoder)
+	defer e.release()
+	if err := e.enc.Encode(v); err != nil {
 		writeError(w, fmt.Errorf("%w: encode response: %v", mathx.ErrNumeric, err))
 		return false
 	}
+	// Encode wrote valid JSON, so Indent cannot fail.
+	_ = json.Indent(&e.body, e.compact.Bytes(), "", "  ")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, err = w.Write(append(body, '\n'))
+	_, err := w.Write(e.body.Bytes())
 	return err == nil
+}
+
+// jsonEncoder is a compact json.Encoder over its own buffer plus the
+// buffer the indented body goes to, pooled so a reply copies its body
+// into no fresh buffers. The indent is a second pass, not the encoder's
+// SetIndent, because json.Indent sizes its destination to twice the
+// compact body up front, as MarshalIndent does, where SetIndent grows
+// its buffer by appends from whatever size the pool handed out.
+type jsonEncoder struct {
+	compact, body bytes.Buffer
+	enc           *json.Encoder
+}
+
+// maxPooledBody caps the buffers a pooled encoder keeps: the encoder of
+// a larger body (a 200-segment netcheck, a 256-entry batch) is left to
+// the GC rather than pinning its buffers in the pool.
+const maxPooledBody = 64 << 10
+
+var jsonEncoders = sync.Pool{New: func() any {
+	e := &jsonEncoder{}
+	e.enc = json.NewEncoder(&e.compact)
+	return e
+}}
+
+func (e *jsonEncoder) release() {
+	if e.compact.Cap() > maxPooledBody || e.body.Cap() > maxPooledBody {
+		return
+	}
+	e.compact.Reset()
+	e.body.Reset()
+	jsonEncoders.Put(e)
 }
