@@ -1,6 +1,9 @@
 package lifetime
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // benchParams is the 3-class census the kernel benchmark and the golden
 // reports sample: 200k chip samples at correlation rho.
@@ -40,6 +43,33 @@ func BenchmarkSampleRangeEqualClasses(b *testing.B) {
 	p := benchParams(0.3, 17)
 	p.Segments = []SegmentSpec{p.Segments[2], p.Segments[2], p.Segments[2]}
 	benchSampleRange(b, p)
+}
+
+// BenchmarkSampleRangeCensus256 and BenchmarkSampleRangeCensus4096 time
+// the kernel on wide censuses, where the per-class skip test, not the
+// transcendental chain, sets the cost, and where a block holds 8 samples
+// and 1: 20k and 2k samples of a random census (randomCensus).
+func BenchmarkSampleRangeCensus256(b *testing.B) {
+	benchSampleRange(b, randomCensus(256, 20000))
+}
+
+func BenchmarkSampleRangeCensus4096(b *testing.B) {
+	benchSampleRange(b, randomCensus(MaxClasses, 2000))
+}
+
+// randomCensus draws a census of the given size from a fixed seed: each
+// class at 90–160 °C and 0.2–1.6 MA/cm² with 1–300 segments, ρ = 0.3.
+func randomCensus(classes, samples int) Params {
+	rng := rand.New(rand.NewSource(int64(classes)))
+	p := Params{Samples: samples, Seed: 17, Rho: 0.3}
+	for i := 0; i < classes; i++ {
+		p.Segments = append(p.Segments, SegmentSpec{
+			Count: 1 + rng.Intn(300),
+			TempC: 90 + 70*rng.Float64(),
+			JMA:   0.2 + 1.4*rng.Float64(),
+		})
+	}
+	return p
 }
 
 func benchSampleRange(b *testing.B, p Params) {
