@@ -84,26 +84,37 @@ bench-json:
 		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|BandCholesky|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|SampleRange|InvNormCDF' \
 		-benchtime 10x -count=5 | $(GO) run ./cmd/benchjson -next .
 
-# Kernel regression gate: compares the two newest BENCH_<n>.json records
-# benchmark by benchmark and fails when one is slower by more than 25%
-# with disjoint [min, max] ranges. It is not a CI step: on shared hosts
-# the noise between two runs is larger than the bound.
+# Kernel A/B gate for a code change. It builds PKG's test binary in a
+# temporary checkout of BASE (git archive, default HEAD) and in the
+# working tree, runs the two alternately for 10 pairs from their package
+# directories with the same -cpu (the host's CPU count), swapping which
+# runs first each pair, and feeds both raw outputs to benchjson
+# -compare: per benchmark the median ratio new/old, resolved when the
+# [min, max] ranges are disjoint, exit 1 on a resolved slowdown past 25%.
+# The checkout and the binaries are removed on every exit path.
+# BENCH_<n>.json records stay a record and are not gated: on a shared
+# host, drift between two records taken at different times is larger
+# than the bound. Not a CI step; for example
 #
-# To judge a code change rather than two days' hosts, build the test
-# binary of each tree and run them alternately, back to back, then
-# compare the raw outputs (-compare reads go test -bench text as well as
-# records):
-#
-#	go test -c -o old.test ./internal/lifetime    # in the parent tree
-#	go test -c -o new.test ./internal/lifetime    # in the changed tree
-#	for i in 1 2 3 4 5 6; do
-#		./old.test -test.run '^$$' -test.bench SampleRange -test.benchtime 10x -test.benchmem -test.timeout 10m >> old.bench
-#		./new.test -test.run '^$$' -test.bench SampleRange -test.benchtime 10x -test.benchmem -test.timeout 10m >> new.bench
-#	done
-#	go run ./cmd/benchjson -compare old.bench new.bench
+#	make bench-gate BASE=HEAD~1 PKG=./internal/mathx BENCH=DotParallel
+BASE ?= HEAD
+PKG ?= ./internal/lifetime
+BENCH ?= SampleRange
+
 bench-gate:
-	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 2); \
-	$(GO) run ./cmd/benchjson -compare "$$1" "$$2"
+	@set -e; tmp=$$(mktemp -d); cpu=$$(getconf _NPROCESSORS_ONLN); \
+	trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' INT TERM HUP; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/old.test" $(PKG)); \
+	$(GO) test -c -o "$$tmp/new.test" $(PKG); \
+	run() { (cd "$$2" && "$$tmp/$$1.test" -test.run '^$$' -test.bench '$(BENCH)' -test.benchtime 10x \
+		-test.cpu $$cpu -test.benchmem -test.timeout 30m) >> "$$tmp/$$1.bench"; }; \
+	old() { run old "$$tmp/base/$(PKG)"; }; new() { run new "$(PKG)"; }; \
+	for i in $$(seq 10); do \
+		if [ $$((i % 2)) = 1 ]; then old; new; else new; old; fi; \
+		echo "bench-gate: pair $$i of 10" >&2; \
+	done; \
+	$(GO) run ./cmd/benchjson -compare "$$tmp/old.bench" "$$tmp/new.bench"
 
 verify: fmt build vet test perfbench race chaos fuzz-smoke bench-smoke cover-chipcheck
 	@echo "verify: all gates passed"

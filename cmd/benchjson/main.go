@@ -17,7 +17,8 @@
 // marked resolved when the two [min, max] ranges (each from repeated
 // samples) are disjoint, then the benchmarks found in only one file. It
 // exits 1 when a benchmark is resolved slower by more than gateBound
-// (`make bench-gate` compares the two newest BENCH files this way). OLD
+// (`make bench-gate` compares two test binaries run alternately this
+// way). OLD
 // and NEW are each a JSON record or raw `go test -bench` text (anything
 // that does not start with '{'), folded as stdin is, so the outputs of
 // two test binaries run alternately, back to back, compare directly.

@@ -77,7 +77,8 @@ func (m *ChipModel) Validate() error {
 //
 // for each class from ln p_c (lnWeakestLevel) through InvNormCDFLog and
 // keeps the minimum over classes, all in log space: no exp, no p, and no
-// logarithm of the result for a sketch that bins ln TTF.
+// logarithm of the result for a sketch that bins ln TTF. Samples are
+// drawn a block at a time through a ChipBlock (NewBlock).
 //
 // Most classes of a real census never hold the chip minimum, so the draw
 // visits the classes likeliest minimum first and skips any class whose
@@ -124,32 +125,77 @@ func (m *ChipModel) Draw() ChipDraw {
 	return d
 }
 
-// LnTTF draws the natural log of one chip time-to-fail (seconds). The
-// draw order is fixed — one chip-wide normal, then one uniform per class
-// in ChipModel.Classes order, into us (len ≥ the class count) — so a
-// given RNG stream always yields the same sample; callers that key
-// substreams on the sample index get order-independent Monte Carlo for
-// free. us is scratch: it lets the classes be visited in another order
-// than they draw, and leaves d unchanged, so concurrent callers share
-// one ChipDraw.
-func (d *ChipDraw) LnTTF(rng *rand.Rand, us []float64) float64 {
-	zc := rng.NormFloat64()
-	us = us[:len(d.classes)]
+// blockUniforms bounds the uniforms a ChipBlock holds (samples ×
+// classes): 16 KB, so a block's draws stay in cache whatever the census
+// size, and a census of 2048 classes or more draws one sample a block.
+const blockUniforms = 2048
+
+// ChipBlock is scratch for drawing chip samples a block at a time. The
+// CPU overlaps the long dependent math chains of independent samples
+// when the draw runs stage by stage over the block rather than sample
+// by sample. Each sample's RNG draws and float operations are its own
+// and in a fixed order, so its value does not depend on the block it
+// is drawn in or on the block's length. A block belongs to one
+// goroutine; the ChipDraw it reads stays shared.
+type ChipBlock struct {
+	d  *ChipDraw
+	zc []float64 // each sample's chip-wide normal
+	us []float64 // uniforms, sample-major: sample j's class i at j·classes + i
+	x  []float64 // each sample's ln TTF
+}
+
+// NewBlock returns a block of max(1, 2048/classes) samples.
+func (d *ChipDraw) NewBlock() *ChipBlock {
+	k := len(d.classes)
+	n := max(1, blockUniforms/k)
+	return &ChipBlock{d: d, zc: make([]float64, n), us: make([]float64, n*k), x: make([]float64, n)}
+}
+
+// Len returns the number of samples the block holds.
+func (b *ChipBlock) Len() int { return len(b.x) }
+
+// Draw draws sample j's randomness from rng. The draw order is fixed —
+// one chip-wide normal, then one uniform per class in ChipModel.Classes
+// order — so a given RNG stream always yields the same sample; callers
+// that key substreams on the sample index get order-independent Monte
+// Carlo for free.
+func (b *ChipBlock) Draw(j int, rng *rand.Rand) {
+	k := len(b.d.classes)
+	b.zc[j] = rng.NormFloat64()
+	us := b.us[j*k : (j+1)*k]
 	for i := range us {
 		us[i] = rng.Float64()
 	}
-	c := &d.classes[0]
-	x := c.lnMedian + c.sc*zc + c.si*mathx.InvNormCDFLog(lnWeakestLevel(us[c.idx], c.n))
-	for i := 1; i < len(d.classes); i++ {
-		c := &d.classes[i]
-		u := us[c.idx]
-		a := c.lnMedian + c.sc*zc
-		if c.skips(a-x, u) {
-			continue
+}
+
+// LnTTF returns the natural log of the chip time-to-fail (seconds) of
+// samples [0, n), each drawn by Draw. The slice is the block's own,
+// valid until its next LnTTF. The first-visited class is evaluated for
+// the whole block, ln p (lnWeakestLevel) first and then the inverse,
+// before each sample visits the later classes with the skip test.
+func (b *ChipBlock) LnTTF(n int) []float64 {
+	k, x := len(b.d.classes), b.x[:n]
+	c := &b.d.classes[0]
+	for j := range x {
+		x[j] = lnWeakestLevel(b.us[j*k+c.idx], c.n)
+	}
+	for j, lnp := range x {
+		x[j] = c.lnMedian + c.sc*b.zc[j] + c.si*mathx.InvNormCDFLog(lnp)
+	}
+	for j := range x {
+		us, zc, xj := b.us[j*k:(j+1)*k], b.zc[j], x[j]
+		for i := 1; i < k; i++ {
+			c := &b.d.classes[i]
+			u := us[c.idx]
+			a := c.lnMedian + c.sc*zc
+			if c.skips(a-xj, u) {
+				continue
+			}
+			if t := a + c.si*mathx.InvNormCDFLog(lnWeakestLevel(u, c.n)); t < xj {
+				xj = t
+			}
 		}
-		if t := a + c.si*mathx.InvNormCDFLog(lnWeakestLevel(u, c.n)); t < x {
-			x = t
-		}
+		x[j] = xj
 	}
 	return x
 }
@@ -182,14 +228,6 @@ func (c *classDraw) skips(h, u float64) bool {
 // bits; 0 and subnormals read −1023.
 func log2Floor(u float64) float64 {
 	return float64(int(math.Float64bits(u)>>52&0x7ff) - 1023)
-}
-
-// SampleTTF draws one chip time-to-fail (seconds): exp of one
-// m.Draw().LnTTF draw, with the same RNG draw order. It prepares the
-// draw on every call; a caller sampling many chips holds a ChipDraw.
-func (m *ChipModel) SampleTTF(rng *rand.Rand) float64 {
-	d := m.Draw()
-	return math.Exp(d.LnTTF(rng, make([]float64, len(m.Classes))))
 }
 
 // lnLevelFloor is ln 1e-300, the floor of the weakest-of-n level: the

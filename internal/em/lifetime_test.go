@@ -31,19 +31,44 @@ func TestChipModelValidate(t *testing.T) {
 	}
 }
 
+// lnTTFs draws n chip samples of m from rng's stream through the block
+// kernel, blockLen samples a block (0 or more than the block holds: the
+// block's full length), and returns their ln TTF in sample order.
+func lnTTFs(m *ChipModel, rng *rand.Rand, n, blockLen int) []float64 {
+	d := m.Draw()
+	b := d.NewBlock()
+	if blockLen == 0 || blockLen > b.Len() {
+		blockLen = b.Len()
+	}
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		k := min(blockLen, n-len(out))
+		for j := 0; j < k; j++ {
+			b.Draw(j, rng)
+		}
+		out = append(out, b.LnTTF(k)...)
+	}
+	return out
+}
+
+// ttfs draws n chip TTFs (seconds) of m from rng's stream.
+func ttfs(m *ChipModel, rng *rand.Rand, n int) []float64 {
+	out := lnTTFs(m, rng, n, 0)
+	for i, x := range out {
+		out[i] = math.Exp(x)
+	}
+	return out
+}
+
 // TestChipSampleMatchesSeriesQuantile cross-checks the closed-form
 // weakest-of-n draw against the analytic series quantile at rho = 0:
-// empirical quantiles of SampleTTF must converge on SeriesQuantile.
+// empirical quantiles of the chip TTF must converge on SeriesQuantile.
 func TestChipSampleMatchesSeriesQuantile(t *testing.T) {
 	l := Lognormal{Median: 3e8, Sigma: 0.5}
 	const n = 5000
 	m := ChipModel{Classes: []SegmentClass{{Count: n, Median: l.Median, Sigma: l.Sigma}}}
-	rng := rand.New(rand.NewSource(17))
 	const samples = 20000
-	ttfs := make([]float64, samples)
-	for i := range ttfs {
-		ttfs[i] = m.SampleTTF(rng)
-	}
+	ttfs := ttfs(&m, rand.New(rand.NewSource(17)), samples)
 	sort.Float64s(ttfs)
 	for _, p := range []float64{0.01, 0.1, 0.5, 0.9} {
 		want, err := SeriesQuantile(l, n, p)
@@ -65,11 +90,7 @@ func TestChipSampleCorrelationWidensSpread(t *testing.T) {
 	cls := []SegmentClass{{Count: 10000, Median: 3e8, Sigma: 0.5}}
 	quantiles := func(rho float64) (p10, p50, p90 float64) {
 		m := ChipModel{Classes: cls, Rho: rho}
-		rng := rand.New(rand.NewSource(4))
-		ttfs := make([]float64, 8000)
-		for i := range ttfs {
-			ttfs[i] = m.SampleTTF(rng)
-		}
+		ttfs := ttfs(&m, rand.New(rand.NewSource(4)), 8000)
 		sort.Float64s(ttfs)
 		return ttfs[800], ttfs[4000], ttfs[7200]
 	}
@@ -88,10 +109,9 @@ func TestChipSampleCorrelationWidensSpread(t *testing.T) {
 func TestChipSampleMinOverClasses(t *testing.T) {
 	strong := SegmentClass{Count: 100, Median: 3e9, Sigma: 0.4}
 	weak := SegmentClass{Count: 100, Median: 3e5, Sigma: 0.4}
-	rng := rand.New(rand.NewSource(9))
 	m := ChipModel{Classes: []SegmentClass{strong, weak}}
-	for i := 0; i < 200; i++ {
-		if ttf := m.SampleTTF(rng); ttf > 3e7 {
+	for i, ttf := range ttfs(&m, rand.New(rand.NewSource(9)), 200) {
+		if ttf > 3e7 {
 			t.Fatalf("sample %d: TTF %g not dominated by the weak class", i, ttf)
 		}
 	}
@@ -101,11 +121,11 @@ func TestChipSampleMinOverClasses(t *testing.T) {
 // samples — the substream property the lifetime job runner keys on.
 func TestChipSampleDeterministic(t *testing.T) {
 	m := ChipModel{Classes: []SegmentClass{{Count: 50, Median: 3e8, Sigma: 0.5}, {Count: 7, Median: 9e8, Sigma: 0.3}}, Rho: 0.25}
-	a := rand.New(rand.NewSource(3))
-	b := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		if x, y := m.SampleTTF(a), m.SampleTTF(b); x != y {
-			t.Fatalf("draw %d: %g != %g", i, x, y)
+	a := ttfs(&m, rand.New(rand.NewSource(3)), 100)
+	b := ttfs(&m, rand.New(rand.NewSource(3)), 100)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("draw %d: %g != %g", i, a[i], b[i])
 		}
 	}
 }
@@ -151,11 +171,11 @@ func TestChipLnWeakestLevel(t *testing.T) {
 	t.Logf("worst relative difference %.2g", worst)
 }
 
-// TestChipDrawMatchesDirectExpression: one LnTTF draw equals the log of
-// the direct chip minimum — the level p = −expm1(log1p(−u)/n) through
-// InvNormCDF and exp for each class, from the same RNG stream — to 1e-14
-// relative, on a 1-segment, a 7+3-segment and a 3-class million-segment
-// census, and SampleTTF is exp of the same draw.
+// TestChipDrawMatchesDirectExpression: each block-kernel draw equals the
+// log of the direct chip minimum — the level p = −expm1(log1p(−u)/n)
+// through InvNormCDF and exp for each class, from the same RNG stream —
+// to 1e-14 relative, on a 1-segment, a 7+3-segment and a 3-class
+// million-segment census.
 func TestChipDrawMatchesDirectExpression(t *testing.T) {
 	direct := func(m *ChipModel, rng *rand.Rand) float64 {
 		zc := rng.NormFloat64()
@@ -171,25 +191,20 @@ func TestChipDrawMatchesDirectExpression(t *testing.T) {
 		{Classes: []SegmentClass{{Count: 7, Median: 3e8, Sigma: 0.5}, {Count: 3, Median: 9e7, Sigma: 1.5}}, Rho: 0.3},
 		{Classes: []SegmentClass{{Count: 1000000, Median: 3e9, Sigma: 0.5}, {Count: 5000, Median: 4e8, Sigma: 0.5}, {Count: 300, Median: 1e8, Sigma: 0.5}}, Rho: 0.9},
 	} {
-		d := m.Draw()
-		us := make([]float64, len(m.Classes))
-		a, b, c := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
-		for i := 0; i < 20000; i++ {
-			got, want := d.LnTTF(a, us), math.Log(direct(&m, b))
+		b := rand.New(rand.NewSource(11))
+		for i, got := range lnTTFs(&m, rand.New(rand.NewSource(11)), 20000, 0) {
+			want := math.Log(direct(&m, b))
 			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-14 {
 				t.Fatalf("%d classes, draw %d: ln TTF %.17g, direct %.17g (relative %.2g)", len(m.Classes), i, got, want, rel)
-			}
-			if ttf := m.SampleTTF(c); ttf != math.Exp(got) {
-				t.Fatalf("%d classes, draw %d: SampleTTF %.17g, want exp(LnTTF) %.17g", len(m.Classes), i, ttf, math.Exp(got))
 			}
 		}
 	}
 }
 
-// exhaustiveLnTTF is the draw without the dominance skip, the reference
-// the pruned draw must reproduce bit for bit: every class evaluated in
-// slice order, each from its own uniform, with the per-class constants
-// and the expression the draw uses.
+// exhaustiveLnTTF is the draw without the dominance skip or the blocks,
+// the reference the block kernel must reproduce bit for bit: one sample,
+// every class evaluated in slice order, each from its own uniform, with
+// the per-class constants and the expression the draw uses.
 func exhaustiveLnTTF(m *ChipModel, rng *rand.Rand) float64 {
 	sc, si := math.Sqrt(m.Rho), math.Sqrt(1-m.Rho)
 	zc := rng.NormFloat64()
@@ -274,12 +289,13 @@ func randomCensus(rng *rand.Rand, classes int) ChipModel {
 	return m
 }
 
-// TestChipDrawMatchesExhaustive: the pruned LnTTF returns the same float
+// TestChipDrawMatchesExhaustive: the block kernel returns the same float
 // as the exhaustive loop on the same RNG stream — bit-identical, so every
 // sketch bin, quantile and extreme of a lifetime report is unchanged —
-// on 300 random censuses of 1–8 classes and 4096 classes, on identical
-// classes (where most draws evaluate several) and one-class censuses, and
-// on a tiered census where the hottest class always holds the minimum.
+// at block lengths 1, 2, 7 and the block's full length, on 300 random
+// censuses of 1–8 classes and 4096 classes, on identical classes (where
+// most draws evaluate several) and one-class censuses, and on a tiered
+// census where the hottest class always holds the minimum.
 func TestChipDrawMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	type census struct {
@@ -306,13 +322,18 @@ func TestChipDrawMatchesExhaustive(t *testing.T) {
 		}, Rho: rho}, 20000})
 	}
 	for ci, c := range cs {
-		d := c.m.Draw()
-		us := make([]float64, len(c.m.Classes))
 		seed := rng.Int63()
-		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		for i := 0; i < c.draws; i++ {
-			if got, want := d.LnTTF(a, us), exhaustiveLnTTF(&c.m, b); got != want {
-				t.Fatalf("census %d (%d classes, rho %g), draw %d: pruned %.17g, exhaustive %.17g", ci, len(c.m.Classes), c.m.Rho, i, got, want)
+		b := rand.New(rand.NewSource(seed))
+		want := make([]float64, c.draws)
+		for i := range want {
+			want[i] = exhaustiveLnTTF(&c.m, b)
+		}
+		for _, blockLen := range []int{1, 2, 7, 0} {
+			for i, got := range lnTTFs(&c.m, rand.New(rand.NewSource(seed)), c.draws, blockLen) {
+				if got != want[i] {
+					t.Fatalf("census %d (%d classes, rho %g), block length %d, draw %d: block kernel %.17g, exhaustive %.17g",
+						ci, len(c.m.Classes), c.m.Rho, blockLen, i, got, want[i])
+				}
 			}
 		}
 	}
@@ -320,8 +341,8 @@ func TestChipDrawMatchesExhaustive(t *testing.T) {
 
 // FuzzChipDrawBound fuzzes a uniform's bits, a class size, σ and ρ: the
 // computed weakest-of-n level of that uniform must respect the skip
-// bound, and the pruned draw of a census built around the class must
-// equal the exhaustive one.
+// bound, and the block kernel's draw of a census built around the class
+// must equal the exhaustive one.
 func FuzzChipDrawBound(f *testing.F) {
 	f.Add(uint64(0x3fe0000000000000), uint32(1), 0.5, 0.3, 0.0)
 	f.Add(uint64(0x3c00000000000000), uint32(300), 5.0, 0.999, 2.0)
@@ -343,11 +364,10 @@ func FuzzChipDrawBound(f *testing.F) {
 		if b := skipBound(c, u); y < -b {
 			t.Fatalf("n=%d u=%.17g: Φ⁻¹(p) = %.17g below the bound −%.17g", n, u, y, b)
 		}
-		us := make([]float64, len(m.Classes))
-		a, b := rand.New(rand.NewSource(int64(ubits))), rand.New(rand.NewSource(int64(ubits)))
-		for i := 0; i < 64; i++ {
-			if got, want := d.LnTTF(a, us), exhaustiveLnTTF(&m, b); got != want {
-				t.Fatalf("draw %d: pruned %.17g, exhaustive %.17g", i, got, want)
+		b := rand.New(rand.NewSource(int64(ubits)))
+		for i, got := range lnTTFs(&m, rand.New(rand.NewSource(int64(ubits))), 64, 0) {
+			if want := exhaustiveLnTTF(&m, b); got != want {
+				t.Fatalf("draw %d: block kernel %.17g, exhaustive %.17g", i, got, want)
 			}
 		}
 	})

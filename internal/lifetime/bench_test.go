@@ -46,9 +46,10 @@ func BenchmarkSampleRangeEqualClasses(b *testing.B) {
 }
 
 // BenchmarkSampleRangeCensus256 and BenchmarkSampleRangeCensus4096 time
-// the kernel on wide censuses, where the per-class skip test, not the
-// transcendental chain, sets the cost, and where a block holds 8 samples
-// and 1: 20k and 2k samples of a random census (randomCensus).
+// the kernel on wide censuses, where every sample draws a uniform and
+// runs a skip test per class and a block holds 8 samples and 1: 20k and
+// 2k samples of a random census (randomCensus). They guard the bound
+// on a block's uniforms.
 func BenchmarkSampleRangeCensus256(b *testing.B) {
 	benchSampleRange(b, randomCensus(256, 20000))
 }

@@ -202,22 +202,29 @@ func NewSketch() *mathx.QuantileSketch {
 }
 
 // SampleRange draws chip TTF samples [lo, hi) into sk, in log space
-// from the uniform to the sketch bin (em.ChipDraw, AddLog). Sample s's
-// RNG substream is keyed on the absolute index s, so any partition of
-// [0, Samples) into ranges — each aggregated into its own sketch and
-// merged in any order — produces bit-identical state to one
-// uninterrupted pass. This is the chunk kernel of the lifetime job
-// runner.
+// from the uniform to the sketch bin (em.ChipBlock, AddLog), a block of
+// samples at a time and in sample order. Sample s's RNG substream is
+// keyed on the absolute index s, so any partition of [0, Samples) into
+// ranges — each aggregated into its own sketch and merged in any order
+// — produces bit-identical state to one uninterrupted pass. This is the
+// chunk kernel of the lifetime job runner.
 func (m *Model) SampleRange(sk *mathx.QuantileSketch, lo, hi int) error {
 	if lo < 0 || hi > m.Samples || lo > hi {
 		return fmt.Errorf("%w: sample range [%d, %d) outside [0, %d)", ErrInvalid, lo, hi, m.Samples)
 	}
 	src := &mathx.SplitMix64{}
 	rng := rand.New(src)
-	us := make([]float64, len(m.Chip.Classes))
-	for s := lo; s < hi; s++ {
-		src.Seed(mathx.SeedMix(m.Seed, s))
-		sk.AddLog(m.draw.LnTTF(rng, us))
+	b := m.draw.NewBlock()
+	for lo < hi {
+		n := min(b.Len(), hi-lo)
+		for j := 0; j < n; j++ {
+			src.Seed(mathx.SeedMix(m.Seed, lo+j))
+			b.Draw(j, rng)
+		}
+		for _, x := range b.LnTTF(n) {
+			sk.AddLog(x)
+		}
+		lo += n
 	}
 	return nil
 }

@@ -82,12 +82,38 @@ func TestCompileValidation(t *testing.T) {
 // invariant: any chunk grid, sampled into separate sketches and merged
 // in any order, encodes byte-identically to one uninterrupted pass. The
 // chunks are drawn concurrently from one Model, as job workers draw
-// them, so the race detector sees the shared draw.
+// them, so the race detector sees the shared draw. Range ends fall
+// mid-block: the 2-class census draws blocks of 1024 samples, the
+// 3-class one blocks of 682.
 func TestSampleRangeChunkedMergeBitIdentical(t *testing.T) {
-	m, err := Compile(testParams())
-	if err != nil {
-		t.Fatal(err)
+	three := benchParams(0.3, 17)
+	three.Samples = 5000
+	for _, c := range []struct {
+		p      Params
+		bounds []int
+	}{
+		{testParams(), []int{0, 13, 640, 641, 1500, 2000}},
+		{three, []int{0, 1, 300, 4097, 4098, 5000}},
+	} {
+		m, err := Compile(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkChunkedMerge(t, m, c.bounds)
+		if err := m.SampleRange(NewSketch(), -1, 5); err == nil {
+			t.Error("negative range: no error")
+		}
+		if err := m.SampleRange(NewSketch(), 0, m.Samples+1); err == nil {
+			t.Error("overlong range: no error")
+		}
 	}
+}
+
+// checkChunkedMerge samples m over the chunk grid bounds (from 0 to
+// m.Samples) concurrently and checks that the chunks, merged in two
+// orders, encode as one uninterrupted pass does.
+func checkChunkedMerge(t *testing.T, m *Model, bounds []int) {
+	t.Helper()
 	whole := NewSketch()
 	if err := m.SampleRange(whole, 0, m.Samples); err != nil {
 		t.Fatal(err)
@@ -97,7 +123,6 @@ func TestSampleRangeChunkedMergeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bounds := []int{0, 13, 640, 641, 1500, m.Samples}
 	parts := make([][]byte, len(bounds)-1)
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -135,15 +160,8 @@ func TestSampleRangeChunkedMergeBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("merge order %v: state differs from uninterrupted pass", order)
+			t.Fatalf("chunk grid %v, merge order %v: state differs from uninterrupted pass", bounds, order)
 		}
-	}
-
-	if err := m.SampleRange(NewSketch(), -1, 5); err == nil {
-		t.Error("negative range: no error")
-	}
-	if err := m.SampleRange(NewSketch(), 0, m.Samples+1); err == nil {
-		t.Error("overlong range: no error")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrSketch reports an invalid quantile-sketch operation or a corrupt
@@ -31,10 +30,12 @@ var ErrSketch = errors.New("mathx: invalid quantile sketch")
 // what lets checkpointed jobs journal per-chunk sketch states and
 // reassemble them after a crash into exactly the uninterrupted result.
 //
-// Memory is O(number of occupied bins): for α = 0.1% that is ≤ ~1400
-// bins per decade of dynamic range, independent of the stream length —
+// Memory is O(occupied key span), independent of the stream length —
 // the O(1)-per-level aggregation the million-sample Monte Carlo and
-// lifetime runs rely on.
+// lifetime runs rely on. Each sign's bins are one dense counter window
+// (binStore); for α = 0.1% that is ~1150 counters per decade of dynamic
+// range, and no window can outgrow the keys a finite non-zero float64
+// reaches, 727k counters (5.8 MB) at α's floor of 0.001.
 type QuantileSketch struct {
 	alpha      float64
 	gamma      float64
@@ -49,18 +50,23 @@ type QuantileSketch struct {
 	// has x > lnMax, so AddLog evaluates exp only for an x past one of
 	// them and confirms it against the exact value.
 	lnMin, lnMax float64
-	neg, pos     map[int32]uint64 // neg is keyed on |v|
+	neg, pos     binStore // neg is keyed on |v|
 }
 
+// minSketchAlpha is the finest accuracy a sketch takes. It bounds the
+// bin stores: at α = 0.001 a key lies in [−372219, 354892], so a window
+// holds at most 727k counters.
+const minSketchAlpha = 0.001
+
 // NewQuantileSketch returns an empty sketch with relative accuracy
-// alpha ∈ (0, 0.5): every Quantile estimate q̂ of a true stream value q
-// satisfies |q̂ − q| ≤ α·|q|.
+// alpha ∈ [0.001, 0.5): every Quantile estimate q̂ of a true stream
+// value q satisfies |q̂ − q| ≤ α·|q|.
 func NewQuantileSketch(alpha float64) *QuantileSketch {
-	if !(alpha > 0 && alpha < 0.5) {
-		panic(fmt.Sprintf("mathx: quantile sketch alpha %g outside (0, 0.5)", alpha))
+	if !(alpha >= minSketchAlpha && alpha < 0.5) {
+		panic(fmt.Sprintf("mathx: quantile sketch alpha %g outside [%g, 0.5)", alpha, minSketchAlpha))
 	}
 	gamma := (1 + alpha) / (1 - alpha)
-	return &QuantileSketch{
+	s := &QuantileSketch{
 		alpha:      alpha,
 		gamma:      gamma,
 		invLnGamma: 1 / math.Log(gamma),
@@ -68,13 +74,76 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 		max:        math.Inf(-1),
 		lnMin:      math.Inf(1),
 		lnMax:      math.Inf(-1),
-		neg:        make(map[int32]uint64),
-		pos:        make(map[int32]uint64),
+	}
+	// Every key a value can reach lies between those of the smallest
+	// subnormal, 2⁻¹⁰⁷⁴, and MaxFloat64. The low end is taken from
+	// ln 2⁻¹⁰⁷⁴ = −1074·ln 2, not math.Log, whose amd64 assembly returns
+	// −709.09 to −708.40 for every subnormal: those keys lie inside the
+	// range, and a blob binned on another platform still decodes.
+	lo, hi := int32(math.Ceil(-1074*math.Ln2*s.invLnGamma)), s.key(math.MaxFloat64)
+	s.neg = binStore{lo: lo, hi: hi}
+	s.pos = binStore{lo: lo, hi: hi}
+	return s
+}
+
+// binStore is one sign's bins: counts[i] is the count of bin key
+// base+i. The window covers every occupied key and grows on demand in
+// either direction, at least doubling toward the new key, so n adds
+// cost O(n) amortized; it never grows past [lo, hi], the keys a finite
+// non-zero float64 reaches at the sketch's alpha.
+type binStore struct {
+	counts []uint64
+	base   int32
+	lo, hi int32
+}
+
+// add adds c to bin k.
+func (b *binStore) add(k int32, c uint64) {
+	i := uint(k - b.base)
+	if i >= uint(len(b.counts)) {
+		b.grow(k)
+		i = uint(k - b.base)
+	}
+	b.counts[i] += c
+}
+
+// merge adds o's bins to b.
+func (b *binStore) merge(o *binStore) {
+	for i, c := range o.counts {
+		if c != 0 {
+			b.add(o.base+int32(i), c)
+		}
 	}
 }
 
-// Alpha returns the sketch's relative accuracy.
-func (s *QuantileSketch) Alpha() float64 { return s.alpha }
+// grow widens the window to hold key k.
+func (b *binStore) grow(k int32) {
+	n := len(b.counts)
+	if n == 0 {
+		b.counts, b.base = make([]uint64, 1), k
+		return
+	}
+	lo, hi := int(b.base), int(b.base)+n-1
+	if int(k) < lo {
+		lo = min(int(k), max(int(b.lo), lo-n))
+	} else {
+		hi = max(int(k), min(int(b.hi), hi+n))
+	}
+	counts := make([]uint64, hi-lo+1)
+	copy(counts[int(b.base)-lo:], b.counts)
+	b.counts, b.base = counts, int32(lo)
+}
+
+// occupied returns the number of non-zero bins.
+func (b *binStore) occupied() int {
+	n := 0
+	for _, c := range b.counts {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Count returns the number of aggregated values.
 func (s *QuantileSketch) Count() uint64 { return s.count }
@@ -113,9 +182,9 @@ func (s *QuantileSketch) Add(v float64) {
 	case v == 0:
 		s.zeros++
 	case v > 0:
-		s.pos[s.key(v)]++
+		s.pos.add(s.key(v), 1)
 	default:
-		s.neg[s.key(-v)]++
+		s.neg.add(s.key(-v), 1)
 	}
 	s.count++
 	if v < s.min {
@@ -146,7 +215,7 @@ func (s *QuantileSketch) AddLog(x float64) {
 		s.Add(math.Exp(x))
 		return
 	}
-	s.pos[int32(math.Ceil(x*s.invLnGamma))]++
+	s.pos.add(int32(math.Ceil(x*s.invLnGamma)), 1)
 	s.count++
 	if x < s.lnMin || x > s.lnMax {
 		// exp is monotone, so x itself bounds the new extreme.
@@ -190,23 +259,9 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) error {
 	if o.max > s.max {
 		s.max, s.lnMax = o.max, o.lnMax
 	}
-	for k, c := range o.neg {
-		s.neg[k] += c
-	}
-	for k, c := range o.pos {
-		s.pos[k] += c
-	}
+	s.neg.merge(&o.neg)
+	s.pos.merge(&o.pos)
 	return nil
-}
-
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys(m map[int32]uint64) []int32 {
-	ks := make([]int32, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
 
 // Quantile estimates the p-quantile (p ∈ [0, 1]) of the aggregated
@@ -228,21 +283,21 @@ func (s *QuantileSketch) Quantile(p float64) float64 {
 	var cum uint64
 	// Ascending value order: most-negative first (descending |v| keys),
 	// then zeros, then positives (ascending keys).
-	nks := sortedKeys(s.neg)
-	for i := len(nks) - 1; i >= 0; i-- {
-		cum += s.neg[nks[i]]
+	// rank ≥ 1, so cum first reaches it at a non-zero bin.
+	for i := len(s.neg.counts) - 1; i >= 0; i-- {
+		cum += s.neg.counts[i]
 		if cum >= rank {
-			return clamp(-s.binValue(nks[i]))
+			return clamp(-s.binValue(s.neg.base + int32(i)))
 		}
 	}
 	cum += s.zeros
 	if cum >= rank {
 		return clamp(0)
 	}
-	for _, k := range sortedKeys(s.pos) {
-		cum += s.pos[k]
+	for i, c := range s.pos.counts {
+		cum += c
 		if cum >= rank {
-			return clamp(s.binValue(k))
+			return clamp(s.binValue(s.pos.base + int32(i)))
 		}
 	}
 	return s.max
@@ -254,9 +309,9 @@ func (s *QuantileSketch) Quantile(p float64) float64 {
 //	min f64 | max f64 | nneg u32 | npos u32 |
 //	nneg×(key i32, count u64) | npos×(key i32, count u64)
 //
-// Bin runs are sorted by key, so encoding is canonical: equal states
-// encode to equal bytes regardless of map iteration order, and a
-// decode/encode round trip is the identity on valid input.
+// Bin runs are the non-zero bins in ascending key order, so encoding is
+// canonical: equal states encode to equal bytes whatever their windows,
+// and a decode/encode round trip is the identity on valid input.
 const (
 	sketchMagic   = "dQS1"
 	sketchHdrLen  = 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4 + 4
@@ -265,7 +320,8 @@ const (
 
 // MarshalBinary encodes the sketch state canonically.
 func (s *QuantileSketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, sketchHdrLen+(len(s.neg)+len(s.pos))*sketchPairLen)
+	nneg, npos := s.neg.occupied(), s.pos.occupied()
+	buf := make([]byte, 0, sketchHdrLen+(nneg+npos)*sketchPairLen)
 	buf = append(buf, sketchMagic...)
 	u64 := func(v uint64) { buf = binary.BigEndian.AppendUint64(buf, v) }
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
@@ -275,12 +331,14 @@ func (s *QuantileSketch) MarshalBinary() ([]byte, error) {
 	u64(s.zeros)
 	f64(s.min)
 	f64(s.max)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.neg)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.pos)))
-	for _, m := range []map[int32]uint64{s.neg, s.pos} {
-		for _, k := range sortedKeys(m) {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(k))
-			u64(m[k])
+	buf = binary.BigEndian.AppendUint32(buf, uint32(nneg))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(npos))
+	for _, b := range []*binStore{&s.neg, &s.pos} {
+		for i, c := range b.counts {
+			if c != 0 {
+				buf = binary.BigEndian.AppendUint32(buf, uint32(b.base+int32(i)))
+				u64(c)
+			}
 		}
 	}
 	return buf, nil
@@ -288,9 +346,11 @@ func (s *QuantileSketch) MarshalBinary() ([]byte, error) {
 
 // DecodeQuantileSketch decodes and validates a MarshalBinary-encoded
 // state. Every structural invariant is checked — magic, exact length,
-// alpha range, sorted positive-count bin runs, count consistency, and
-// min/max sanity — so a torn or bit-flipped journal blob fails loudly
-// with ErrSketch instead of yielding silently wrong quantiles.
+// alpha range, sorted positive-count bin runs of keys a finite non-zero
+// float64 reaches at that alpha, count consistency, and min/max sanity
+// — so a torn or bit-flipped journal blob fails loudly with ErrSketch
+// instead of yielding silently wrong quantiles, and no blob can make a
+// bin window larger than a stream of values could.
 func DecodeQuantileSketch(data []byte) (*QuantileSketch, error) {
 	if len(data) < sketchHdrLen || string(data[:4]) != sketchMagic {
 		return nil, fmt.Errorf("%w: bad header", ErrSketch)
@@ -303,8 +363,8 @@ func DecodeQuantileSketch(data []byte) (*QuantileSketch, error) {
 	}
 	f64 := func() float64 { return math.Float64frombits(u64()) }
 	alpha := f64()
-	if !(alpha > 0 && alpha < 0.5) {
-		return nil, fmt.Errorf("%w: alpha %g outside (0, 0.5)", ErrSketch, alpha)
+	if !(alpha >= minSketchAlpha && alpha < 0.5) {
+		return nil, fmt.Errorf("%w: alpha %g outside [%g, 0.5)", ErrSketch, alpha, minSketchAlpha)
 	}
 	s := NewQuantileSketch(alpha)
 	s.count = u64()
@@ -320,33 +380,43 @@ func DecodeQuantileSketch(data []byte) (*QuantileSketch, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes for %d bins", ErrSketch, len(data)-off, pairs)
 	}
 	binned := s.zeros
-	for i, m := range []map[int32]uint64{s.neg, s.pos} {
-		n := nneg
+	for i, b := range []*binStore{&s.neg, &s.pos} {
+		n := int(nneg)
 		if i == 1 {
-			n = npos
+			n = int(npos)
 		}
-		prev := int64(math.MinInt64)
-		for j := uint32(0); j < n; j++ {
+		if n == 0 {
+			continue
+		}
+		// The run's first and last keys size the window once both are
+		// keys a value can reach, so a torn run allocates no more than
+		// the span it claims; the loop checks every key between.
+		first := int32(binary.BigEndian.Uint32(data[off:]))
+		last := int32(binary.BigEndian.Uint32(data[off+(n-1)*sketchPairLen:]))
+		if first < b.lo || last > b.hi {
+			return nil, fmt.Errorf("%w: bin keys [%d, %d] outside [%d, %d] at alpha %g", ErrSketch, first, last, b.lo, b.hi, alpha)
+		}
+		if first > last {
+			return nil, fmt.Errorf("%w: bin keys not strictly ascending", ErrSketch)
+		}
+		b.base, b.counts = first, make([]uint64, int(last)-int(first)+1)
+		prev := int64(first) - 1
+		for j := 0; j < n; j++ {
 			k := int32(binary.BigEndian.Uint32(data[off:]))
 			off += 4
 			c := u64()
-			if int64(k) <= prev {
+			if int64(k) <= prev || k > last {
 				return nil, fmt.Errorf("%w: bin keys not strictly ascending", ErrSketch)
 			}
 			if c == 0 {
 				return nil, fmt.Errorf("%w: empty bin run", ErrSketch)
 			}
-			prev = int64(k)
-			m[k] = c
-		}
-	}
-	for _, m := range []map[int32]uint64{s.neg, s.pos} {
-		for _, c := range m {
 			nb := binned + c
 			if nb < binned {
 				return nil, fmt.Errorf("%w: bin count overflow", ErrSketch)
 			}
-			binned = nb
+			binned, prev = nb, int64(k)
+			b.counts[k-first] = c
 		}
 	}
 	if binned != s.count {

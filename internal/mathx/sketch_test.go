@@ -2,6 +2,8 @@ package mathx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -119,15 +121,41 @@ func TestSketchEdgeCases(t *testing.T) {
 
 // TestSketchMergeOrderInvariant is the determinism rule: any split of
 // the stream, merged in any order and any grouping, yields
-// bit-identical encoded state (and hence bit-identical quantiles).
+// bit-identical encoded state (and hence bit-identical quantiles). The
+// second stream's parts sit near 1e200, near 1e-200 and at both, so the
+// bin windows grow up and down as the merges reach them.
 func TestSketchMergeOrderInvariant(t *testing.T) {
 	const alpha = 0.001
 	rng := rand.New(rand.NewSource(5))
-	vals := make([]float64, 9001)
-	for i := range vals {
-		vals[i] = math.Exp(rng.NormFloat64()) - 0.5
+	narrow := make([]float64, 9001)
+	for i := range narrow {
+		narrow[i] = math.Exp(rng.NormFloat64()) - 0.5
+	}
+	wide := make([]float64, 9001)
+	for i := range wide {
+		scale := 1e-200
+		if i < 17 || (i >= 4000 && i%2 == 0) {
+			scale = 1e200
+		}
+		wide[i] = scale * math.Exp(rng.NormFloat64())
+		if i%3 == 0 {
+			wide[i] = -wide[i]
+		}
+	}
+	for name, vals := range map[string][]float64{"narrow": narrow, "wide": wide} {
+		checkMergeOrder(t, name, alpha, vals)
 	}
 
+	if err := NewQuantileSketch(alpha).Merge(NewQuantileSketch(0.01)); err == nil {
+		t.Fatal("merging mismatched alphas must fail")
+	}
+}
+
+// checkMergeOrder splits vals into three uneven parts and checks that
+// every merge order, and a nested grouping, encodes as the serial
+// stream does.
+func checkMergeOrder(t *testing.T, name string, alpha float64, vals []float64) {
+	t.Helper()
 	serial := NewQuantileSketch(alpha)
 	for _, v := range vals {
 		serial.Add(v)
@@ -158,7 +186,7 @@ func TestSketchMergeOrderInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("merge order %v: state differs from serial", order)
+			t.Fatalf("%s: merge order %v: state differs from serial", name, order)
 		}
 	}
 	// Nested: (2 ⊕ 1) ⊕ 0.
@@ -174,11 +202,72 @@ func TestSketchMergeOrderInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("nested merge grouping: state differs from serial")
+		t.Fatalf("%s: nested merge grouping: state differs from serial", name)
+	}
+}
+
+// TestSketchDecodeBounds: decode takes alpha from 0.001 and bin keys a
+// finite non-zero float64 reaches at the blob's alpha — at 0.001 those
+// from the smallest subnormal's, −372219, to MaxFloat64's, 354892, on
+// either sign — and rejects alpha 0.0005 and a key one past either end,
+// so no blob makes a bin window longer than a stream could.
+func TestSketchDecodeBounds(t *testing.T) {
+	s := NewQuantileSketch(0.001)
+	for _, v := range []float64{math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		s.Add(v)
+		s.Add(-v)
+	}
+	for _, b := range []*binStore{&s.neg, &s.pos} {
+		if b.lo != -372219 || b.hi != 354892 {
+			t.Fatalf("reachable keys [%d, %d], want [-372219, 354892]", b.lo, b.hi)
+		}
+		if b.base < b.lo || int(b.base)+len(b.counts)-1 != int(b.hi) {
+			t.Fatalf("window [%d, %d] is not inside [%d, %d] up to MaxFloat64's key", b.base, int(b.base)+len(b.counts)-1, b.lo, b.hi)
+		}
 	}
 
-	if err := serial.Merge(NewQuantileSketch(0.01)); err == nil {
-		t.Fatal("merging mismatched alphas must fail")
+	// Two bins a sign, their keys set to the ends of the range.
+	two := NewQuantileSketch(0.001)
+	for _, v := range []float64{-2, -1, 1, 2} {
+		two.Add(v)
+	}
+	enc, err := two.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(b []byte, pair int, k int32) {
+		binary.BigEndian.PutUint32(b[sketchHdrLen+pair*sketchPairLen:], uint32(k))
+	}
+	ends := append([]byte(nil), enc...)
+	for pair := 0; pair < 4; pair += 2 {
+		key(ends, pair, -372219)
+		key(ends, pair+1, 354892)
+	}
+	if _, err := DecodeQuantileSketch(ends); err != nil {
+		t.Fatalf("keys at the ends of the range rejected: %v", err)
+	}
+	for name, mut := range map[string]func(b []byte){
+		"alpha 0.0005":       func(b []byte) { binary.BigEndian.PutUint64(b[4:], math.Float64bits(0.0005)) },
+		"negative key below": func(b []byte) { key(b, 0, -372220) },
+		"negative key above": func(b []byte) { key(b, 1, 354893) },
+		"positive key below": func(b []byte) { key(b, 2, -372220) },
+		"positive key above": func(b []byte) { key(b, 3, 354893) },
+	} {
+		b := append([]byte(nil), ends...)
+		mut(b)
+		if _, err := DecodeQuantileSketch(b); !errors.Is(err, ErrSketch) {
+			t.Errorf("%s: got %v, want ErrSketch", name, err)
+		}
+	}
+	for _, alpha := range []float64{0.0005, 0, 0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewQuantileSketch(%g) did not panic", alpha)
+				}
+			}()
+			NewQuantileSketch(alpha)
+		}()
 	}
 }
 
@@ -397,6 +486,18 @@ func FuzzSketchDecode(f *testing.F) {
 			s.Add(math.Exp(4 * rng.NormFloat64()))
 		}
 	})
+	// Wide span at α = 0.01, keys near ±17k on both signs: windows of
+	// 35k counters (276 KB), so mutated inputs stay far from the 5.8 MB
+	// a window of every key reachable at α = 0.001 takes.
+	wide := NewQuantileSketch(0.01)
+	for _, v := range []float64{1e-150, 1e150, 1, -1e-150, -1e150} {
+		wide.Add(v)
+	}
+	enc, err := wide.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
 	f.Add([]byte(sketchMagic))
 	f.Add(bytes.Repeat([]byte{0xff}, 80))
 
@@ -404,6 +505,11 @@ func FuzzSketchDecode(f *testing.F) {
 		s, err := DecodeQuantileSketch(data)
 		if err != nil {
 			return
+		}
+		for _, b := range []*binStore{&s.neg, &s.pos} {
+			if len(b.counts) > 0 && (b.base < b.lo || int(b.base)+len(b.counts)-1 > int(b.hi)) {
+				t.Fatalf("window [%d, %d] outside the reachable keys [%d, %d]", b.base, int(b.base)+len(b.counts)-1, b.lo, b.hi)
+			}
 		}
 		enc, err := s.MarshalBinary()
 		if err != nil {
