@@ -210,19 +210,20 @@ func checkMergeOrder(t *testing.T, name string, alpha float64, vals []float64) {
 // finite non-zero float64 reaches at the blob's alpha — at 0.001 those
 // from the smallest subnormal's, −372219, to MaxFloat64's, 354892, on
 // either sign — and rejects alpha 0.0005 and a key one past either end,
-// so no blob makes a bin window longer than a stream could.
+// so no blob makes a bin window longer than a stream could; a window
+// that doubles toward a key stops at the ends.
 func TestSketchDecodeBounds(t *testing.T) {
 	s := NewQuantileSketch(0.001)
-	for _, v := range []float64{math.SmallestNonzeroFloat64, math.MaxFloat64} {
-		s.Add(v)
-		s.Add(-v)
-	}
 	for _, b := range []*binStore{&s.neg, &s.pos} {
 		if b.lo != -372219 || b.hi != 354892 {
 			t.Fatalf("reachable keys [%d, %d], want [-372219, 354892]", b.lo, b.hi)
 		}
-		if b.base < b.lo || int(b.base)+len(b.counts)-1 != int(b.hi) {
-			t.Fatalf("window [%d, %d] is not inside [%d, %d] up to MaxFloat64's key", b.base, int(b.base)+len(b.counts)-1, b.lo, b.hi)
+	}
+	b := binStore{lo: -10, hi: 10}
+	for _, k := range []int32{0, 6, 9, 10, -6, -9, -10} {
+		b.add(k, 1)
+		if end := int(b.base) + len(b.counts) - 1; b.base < b.lo || end > int(b.hi) {
+			t.Fatalf("after key %d: window [%d, %d] outside [%d, %d]", k, b.base, end, b.lo, b.hi)
 		}
 	}
 
