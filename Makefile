@@ -68,9 +68,11 @@ cover-chipcheck:
 
 # One-iteration pass over the orchestration benchmarks: keeps the
 # thundering-herd, batch-vs-serial, warm-restart and quarantine paths
-# compiling and executing without turning CI into a benchmark farm.
+# and the job-lane throughput cases compiling and executing without
+# turning CI into a benchmark farm.
 bench-smoke:
 	$(GO) test ./internal/server -run '^$$' -bench 'ThunderingHerd|BatchVsSerial|WarmStartVsCold|QuarantineHit' -benchtime 1x
+	$(GO) test ./internal/jobs -run '^$$' -bench 'JobThroughput' -benchtime 1x
 
 # Numeric-backbone benchmarks (parallel kernels, the banded factor and
 # sweep, batched FDM solves, Monte Carlo fan-out, job-lane throughput,

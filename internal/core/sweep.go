@@ -59,23 +59,24 @@ func SweepJ0Ctx(ctx context.Context, p Problem, j0s []float64) ([]SweepPoint, er
 	return out, nil
 }
 
-// sweepParallel fans the sweep points out across the mathx worker pool.
-// Point i writes only out[i]/errs[i], so assembly is ordered and the
-// result is identical to the serial sweep at any worker count; on
-// failure the lowest-index error is returned (again matching serial).
-func sweepParallel(ctx context.Context, p Problem, xs []float64,
-	set func(*Problem, float64), wrap func(float64, error) error) ([]SweepPoint, error) {
-	out := make([]SweepPoint, len(xs))
-	errs := make([]error, len(xs))
-	mathx.ParFor(len(xs), func(i int) {
+// SweepDutyCycleParallel is SweepDutyCycle with the points solved
+// concurrently across the mathx worker pool. Every point is an
+// independent scalar root search that writes only out[i]/errs[i], so
+// results assemble in input order and match the serial sweep exactly at
+// any worker count; on failure the lowest-index error is returned (again
+// matching serial).
+func SweepDutyCycleParallel(p Problem, rs []float64) ([]SweepPoint, error) {
+	out := make([]SweepPoint, len(rs))
+	errs := make([]error, len(rs))
+	mathx.ParFor(len(rs), func(i int) {
 		q := p
-		set(&q, xs[i])
-		sol, err := SolveCtx(ctx, q)
+		q.R = rs[i]
+		sol, err := Solve(q)
 		if err != nil {
-			errs[i] = wrap(xs[i], err)
+			errs[i] = fmt.Errorf("core: sweep at r=%g: %w", rs[i], err)
 			return
 		}
-		out[i] = SweepPoint{X: xs[i], Solution: sol}
+		out[i] = SweepPoint{X: rs[i], Solution: sol}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -83,35 +84,6 @@ func sweepParallel(ctx context.Context, p Problem, xs []float64,
 		}
 	}
 	return out, nil
-}
-
-// SweepDutyCycleParallel is SweepDutyCycle with the points solved
-// concurrently across the mathx worker pool. Every point is an
-// independent scalar root search; results assemble in input order and
-// match the serial sweep exactly.
-func SweepDutyCycleParallel(p Problem, rs []float64) ([]SweepPoint, error) {
-	return SweepDutyCycleParallelCtx(context.Background(), p, rs)
-}
-
-// SweepDutyCycleParallelCtx is SweepDutyCycleParallel with cancellation;
-// in-flight points observe the context like the serial path does.
-func SweepDutyCycleParallelCtx(ctx context.Context, p Problem, rs []float64) ([]SweepPoint, error) {
-	return sweepParallel(ctx, p, rs,
-		func(q *Problem, r float64) { q.R = r },
-		func(r float64, err error) error { return fmt.Errorf("core: sweep at r=%g: %w", r, err) })
-}
-
-// SweepJ0Parallel is SweepJ0 with concurrent points (ordered results,
-// serial-identical values).
-func SweepJ0Parallel(p Problem, j0s []float64) ([]SweepPoint, error) {
-	return SweepJ0ParallelCtx(context.Background(), p, j0s)
-}
-
-// SweepJ0ParallelCtx is SweepJ0Parallel with cancellation.
-func SweepJ0ParallelCtx(ctx context.Context, p Problem, j0s []float64) ([]SweepPoint, error) {
-	return sweepParallel(ctx, p, j0s,
-		func(q *Problem, j0 float64) { q.J0 = j0 },
-		func(j0 float64, err error) error { return fmt.Errorf("core: sweep at j0=%g: %w", j0, err) })
 }
 
 // Fig2DutyCycles returns the log-spaced duty-cycle grid of Figs. 2–3

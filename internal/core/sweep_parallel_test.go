@@ -52,23 +52,6 @@ func TestSweepParallelEqualsSerial(t *testing.T) {
 			}
 		}
 	}
-
-	j0s := []float64{phys.MAPerCm2(0.6), phys.MAPerCm2(1.2), phys.MAPerCm2(1.8)}
-	serialJ, err := SweepJ0(p, j0s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mathx.SetWorkers(8)
-	parJ, err := SweepJ0Parallel(p, j0s)
-	mathx.SetWorkers(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range parJ {
-		if parJ[i] != serialJ[i] {
-			t.Fatalf("j0 point %d: %+v != serial %+v", i, parJ[i], serialJ[i])
-		}
-	}
 }
 
 // TestSweepParallelErrorMatchesSerial: with invalid points in the grid,

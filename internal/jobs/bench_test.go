@@ -6,20 +6,22 @@ import (
 	"time"
 )
 
-// benchSweep is the chip-scale-ish workload the lane throughput numbers
-// quote: a 32-point duty-cycle sweep (2 chunks) per job.
-func benchSweep() SubmitRequest {
+// benchSweep is a duty-cycle sweep job of the given size. At 32 points
+// (one chunk) it is nearly all per-job lane overhead.
+func benchSweep(points int) SubmitRequest {
 	return SubmitRequest{
 		Type:  TypeSweep,
-		Sweep: &SweepParams{Node: "0.10", Level: 4, Points: 32},
+		Sweep: &SweepParams{Node: "0.10", Level: 4, Points: points},
 	}
 }
 
 // BenchmarkJobThroughput measures one job end to end — submit, chunked
 // execution on the worker lane, finalize — with and without the journal,
 // so the per-chunk checkpoint cost is visible next to the compute it
-// amortizes against. The Monte Carlo cases (250 and 1000 chunks of 32
-// samples) show how that cost scales with the chunk count.
+// amortizes against. The small sweep is nearly all per-job overhead; the
+// 10000-point sweep (10 chunks) and the Monte Carlo cases (8000 and
+// 32000 samples, 8 and 32 chunks) show the checkpoint cost beside real
+// work.
 func BenchmarkJobThroughput(b *testing.B) {
 	run := func(b *testing.B, cfg Config, req SubmitRequest) {
 		m, err := New(cfg)
@@ -47,18 +49,20 @@ func BenchmarkJobThroughput(b *testing.B) {
 		b.ReportMetric(float64(st.ChunksRun)/float64(b.N), "chunks/job")
 		b.ReportMetric(float64(st.JournalBytes)/float64(b.N), "journalB/job")
 	}
-	b.Run("inmem", func(b *testing.B) { run(b, Config{}, benchSweep()) })
-	b.Run("journaled", func(b *testing.B) { run(b, Config{Dir: b.TempDir()}, benchSweep()) })
-	for _, chunks := range []int{250, 1000} {
+	b.Run("inmem", func(b *testing.B) { run(b, Config{}, benchSweep(32)) })
+	b.Run("journaled", func(b *testing.B) { run(b, Config{Dir: b.TempDir()}, benchSweep(32)) })
+	b.Run("sweep10000/inmem", func(b *testing.B) { run(b, Config{}, benchSweep(10000)) })
+	b.Run("sweep10000/journaled", func(b *testing.B) { run(b, Config{Dir: b.TempDir()}, benchSweep(10000)) })
+	for _, samples := range []int{8000, 32000} {
 		req := SubmitRequest{
 			Type: TypeMonteCarlo,
 			MonteCarlo: &MonteCarloParams{
-				Samples: chunks * mcChunkSamples, Seed: 7,
+				Samples: samples, Seed: 7,
 				WidthSigma: 0.05, ThickSigma: 0.05, ILDSigma: 0.05, KdSigma: 0.05,
 			},
 		}
-		b.Run(fmt.Sprintf("mc%d/inmem", chunks), func(b *testing.B) { run(b, Config{}, req) })
-		b.Run(fmt.Sprintf("mc%d/journaled", chunks), func(b *testing.B) { run(b, Config{Dir: b.TempDir()}, req) })
+		b.Run(fmt.Sprintf("mc%d/inmem", samples), func(b *testing.B) { run(b, Config{}, req) })
+		b.Run(fmt.Sprintf("mc%d/journaled", samples), func(b *testing.B) { run(b, Config{Dir: b.TempDir()}, req) })
 	}
 }
 
@@ -76,7 +80,7 @@ func BenchmarkJobRetryOverhead(b *testing.B) {
 		defer m.Stop()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v, err := m.Submit(benchSweep())
+			v, err := m.Submit(benchSweep(32))
 			if err != nil {
 				b.Fatal(err)
 			}

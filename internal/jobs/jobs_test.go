@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dsmtherm/internal/core"
 	"dsmtherm/internal/faultinject"
 	"dsmtherm/internal/phys"
 	"dsmtherm/internal/rules"
@@ -49,15 +50,15 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
-// sweepReq builds a small but multi-chunk duty-cycle sweep (40 points =
-// 3 chunks at 16 points/chunk).
+// sweepReq builds a small but multi-chunk duty-cycle sweep (2560
+// points = 3 chunks at 1024 points/chunk).
 func sweepReq(lane Lane) SubmitRequest {
 	return SubmitRequest{
 		Type: TypeSweep,
 		Lane: lane,
 		Sweep: &SweepParams{
 			Level:  4,
-			Points: 40,
+			Points: 2560,
 		},
 	}
 }
@@ -106,8 +107,8 @@ func TestSweepJobLifecycle(t *testing.T) {
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 40 {
-		t.Fatalf("got %d points, want 40", len(res.Points))
+	if len(res.Points) != 2560 {
+		t.Fatalf("got %d points, want 2560", len(res.Points))
 	}
 	for i, p := range res.Points {
 		if p.JpeakMA <= 0 || p.TmC <= 0 {
@@ -121,7 +122,7 @@ func TestSweepJobLifecycle(t *testing.T) {
 // call bit for bit.
 func TestMonteCarloJobMatchesDirect(t *testing.T) {
 	m := newTestManager(t, Config{Dir: t.TempDir()})
-	req := mcReq(70) // 3 chunks of ≤32
+	req := mcReq(2240) // 3 chunks of ≤1024
 	v, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestMonteCarloJobMatchesDirect(t *testing.T) {
 	spec := rules.Spec{SignalDutyCycle: 0.1, J0: phys.MAPerCm2(1.8), Tref: phys.CToK(100)}
 	direct, err := rules.MonteCarlo(tech, spec, rules.Variation{
 		Width: 0.05, Thick: 0.05, ILD: 0.05, Kd: 0.05,
-		Samples: 70, Seed: 7, Workers: 1,
+		Samples: 2240, Seed: 7, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +399,7 @@ func TestStepErrorFailsJob(t *testing.T) {
 // dir, and the finished result must be byte-identical to a run that was
 // never interrupted.
 func TestCrashResumeBitIdentical(t *testing.T) {
-	req := mcReq(70) // 3 chunks
+	req := mcReq(2240) // 3 chunks
 
 	// Reference: uninterrupted run.
 	ref := newTestManager(t, Config{Dir: t.TempDir()})
@@ -489,7 +490,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 // TestGracefulStopSuspendsAndResumes: Stop() mid-job writes a suspend
 // checkpoint; a new manager finishes the job with the same bytes.
 func TestGracefulStopSuspendsAndResumes(t *testing.T) {
-	req := mcReq(70)
+	req := mcReq(2240) // 3 chunks
 
 	ref := newTestManager(t, Config{Dir: t.TempDir()})
 	rv, err := ref.Submit(req)
@@ -627,7 +628,7 @@ func TestTerminalJobKeepsOutcomeAcrossGridChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := m1.Submit(mcReq(70)) // 3 chunks
+	v, err := m1.Submit(mcReq(2240)) // 3 chunks
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,12 +682,182 @@ func TestTerminalJobKeepsOutcomeAcrossGridChange(t *testing.T) {
 	}
 }
 
-// TestJournalBytesLinear: a 1000-chunk Monte Carlo job's journal bytes
+// TestFinishedJobRestoredFromOutcome: a finished job is restored from
+// its journaled outcome without re-validating its params, so a limit a
+// newer binary tightened cannot cost it its result. The same params in
+// a live journal cannot resume, and are quarantined.
+func TestFinishedJobRestoredFromOutcome(t *testing.T) {
+	dir := t.TempDir()
+	params := []byte(fmt.Sprintf(`{"samples":%d,"seed":7,"widthSigma":0.05}`, 2*mcMaxSamples))
+	if _, err := newTask(TypeMonteCarlo, params); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("params over the samples limit validate: %v", err)
+	}
+	chunks := (2*mcMaxSamples + mcChunkSamples - 1) / mcChunkSamples
+	result := json.RawMessage(`{"samples":200000,"seed":7,"levels":[]}`)
+	write := func(id string, st Status) {
+		t.Helper()
+		jf := &journalFile{journalHeader: journalHeader{
+			ID: id, Type: TypeMonteCarlo, Lane: LaneBulk,
+			Params: params, ParamsSum: paramsSum(params),
+			Submitted: time.Now().UTC(), Status: st, Chunks: chunks,
+		}}
+		if st == StatusDone {
+			jf.Bitmap, jf.Result = make([]uint64, bitmapWords(chunks)), result
+			for c := 0; c < chunks; c++ {
+				bitSet(jf.Bitmap, c)
+			}
+		}
+		data, err := encodeJournal(jf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(journalPath(dir, id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("jfinished", StatusDone)
+	write("jlive", StatusQueued)
+
+	m := newTestManager(t, Config{Dir: dir})
+	if st := m.Stats(); st.CorruptBoot != 1 || st.Done != 1 {
+		t.Fatalf("boot stats: %d corrupt, %d done; want 1, 1", st.CorruptBoot, st.Done)
+	}
+	v, err := m.Get("jfinished")
+	if err != nil || v.Status != StatusDone || v.Done != chunks {
+		t.Fatalf("finished job restored as %+v, %v", v, err)
+	}
+	got, err := m.Result("jfinished")
+	if err != nil || !bytes.Equal(got, result) {
+		t.Fatalf("finished job's result: %s, %v; want %s", got, err, result)
+	}
+	if _, err := m.Get("jlive"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("live journal with invalid params restored: %v", err)
+	}
+	if _, err := os.Stat(journalPath(dir, "jlive") + ".corrupt"); err != nil {
+		t.Fatalf("live journal not quarantined: %v", err)
+	}
+}
+
+// TestLiveJobRetunedGrid: a live journal written on an older chunk grid
+// (32-sample Monte Carlo and 16-point sweep chunks, as earlier binaries
+// sized them), with two chunks done and one quarantined, restarts from
+// zero on today's grid: its progress and its quarantine record are
+// dropped, and it finishes with the bytes of an uninterrupted run.
+func TestLiveJobRetunedGrid(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		req            SubmitRequest
+		items, oldSize int // samples or points; the old grid's chunk size
+		// oldBlob computes the old grid's blob for items [lo, hi).
+		oldBlob func(task Task, lo, hi int) ([]byte, error)
+	}{
+		{"montecarlo", mcReq(2240), 2240, 32, func(task Task, lo, hi int) ([]byte, error) {
+			mc := task.(*monteCarloTask)
+			rows, err := rules.MonteCarloRows(mc.tech, mc.spec, mc.v, lo, hi)
+			if err != nil {
+				return nil, err
+			}
+			return gobBlob(rows)
+		}},
+		{"sweep", sweepReq(LaneBulk), 2560, 16, func(task Task, lo, hi int) ([]byte, error) {
+			sw := task.(*sweepTask)
+			pts, err := core.SweepDutyCycle(sw.prob, sw.grid[lo:hi])
+			if err != nil {
+				return nil, err
+			}
+			return gobBlob(pts)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := newTestManager(t, Config{})
+			rv, err := ref.Submit(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin := waitDone(t, ref, rv.ID); fin.Status != StatusDone {
+				t.Fatalf("reference run: %s (%q)", fin.Status, fin.Error)
+			}
+			want, err := ref.Result(rv.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			params, err := canonicalParams(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			task, err := newTask(tc.req.Type, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldChunks := (tc.items + tc.oldSize - 1) / tc.oldSize
+			jf := &journalFile{
+				journalHeader: journalHeader{
+					ID: "jretune", Type: tc.req.Type, Lane: LaneBulk,
+					Params: params, ParamsSum: paramsSum(params),
+					Deadline: time.Minute, Submitted: time.Now().UTC(),
+					Status: StatusQueued, Chunks: oldChunks,
+					Bitmap:   make([]uint64, bitmapWords(oldChunks)),
+					Manifest: EncodeManifest([]ChunkFailure{{Chunk: 2, Attempts: 1, Error: "injected poison"}}),
+				},
+				ChunkData: make([][]byte, oldChunks),
+			}
+			for c := 0; c < 2; c++ {
+				if jf.ChunkData[c], err = tc.oldBlob(task, c*tc.oldSize, (c+1)*tc.oldSize); err != nil {
+					t.Fatal(err)
+				}
+				bitSet(jf.Bitmap, c)
+			}
+			dir := t.TempDir()
+			data, err := encodeJournal(jf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := decodeJournal(data); err != nil || bitCount(got.Bitmap, oldChunks) != 2 || len(got.Manifest) == 0 {
+				t.Fatalf("old-grid journal replays %d chunks, manifest %d bytes, %v", bitCount(got.Bitmap, oldChunks), len(got.Manifest), err)
+			}
+			if err := os.WriteFile(journalPath(dir, jf.ID), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			release := make(chan struct{})
+			unstall := faultinject.Set(faultinject.SiteJobsStep, stallAfter(0, release))
+			m := newTestManager(t, Config{Dir: dir})
+			v, err := m.Get(jf.ID)
+			close(release)
+			unstall()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Done != 0 || v.Chunks != task.Chunks() || v.Quarantined != 0 || v.Resumed {
+				t.Fatalf("retuned job booted at %d/%d chunks, %d quarantined, resumed %t; want 0/%d, 0, false",
+					v.Done, v.Chunks, v.Quarantined, v.Resumed, task.Chunks())
+			}
+			if st := m.Stats(); st.ResumedBoot != 0 || st.CorruptBoot != 0 {
+				t.Fatalf("boot stats: %d resumed, %d corrupt; want 0, 0", st.ResumedBoot, st.CorruptBoot)
+			}
+			fin := waitDone(t, m, jf.ID)
+			if fin.Status != StatusDone || fin.Quarantined != 0 {
+				t.Fatalf("retuned job: %s (%q), %d quarantined", fin.Status, fin.Error, fin.Quarantined)
+			}
+			got, err := m.Result(jf.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("retuned job's result differs from an uninterrupted run:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// TestJournalBytesLinear: a many-chunk Monte Carlo job's journal bytes
 // stay within a small constant factor of its chunk blobs — each
 // checkpoint appends only its own chunk — and the finished journal
-// keeps none of them.
+// keeps none of them. The job is the most chunks that fit under
+// mcMaxSamples (97 at 1024 samples a chunk).
 func TestJournalBytesLinear(t *testing.T) {
-	const chunks = 1000
+	const chunks = mcMaxSamples / mcChunkSamples
 	req := mcReq(chunks * mcChunkSamples)
 	params, err := canonicalParams(req)
 	if err != nil {

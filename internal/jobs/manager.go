@@ -297,9 +297,11 @@ type Manager struct {
 // every unfinished job, and starts the workers. The scan is synchronous
 // — when New returns, GET /v1/jobs/{id} already sees every journaled
 // job — but boot never fails on journal contents: corrupt files are
-// quarantined and counted, params a newer binary rejects are
-// quarantined too, and a chunk-grid retune resets an unfinished job's
-// progress rather than resuming into the wrong boundaries.
+// quarantined and counted, an unfinished job whose params a newer
+// binary rejects is quarantined too, and a chunk-grid retune resets an
+// unfinished job's progress rather than resuming into the wrong
+// boundaries. A finished job is restored from its outcome alone: its
+// params are not re-validated and no task is built for it.
 func New(cfg Config) (*Manager, error) {
 	cfg = cfg.Defaults()
 	if cfg.Dir != "" {
@@ -337,19 +339,9 @@ func New(cfg Config) (*Manager, error) {
 // restore turns one decoded journal into a live job. Called from New
 // only (no lock needed yet).
 func (m *Manager) restore(jf *journalFile) {
-	task, err := newTask(jf.Type, jf.Params)
-	if err != nil {
-		// The params no longer validate (a newer binary tightened a
-		// limit, or a type was retired). Quarantine like corruption: the
-		// work cannot be re-derived, so it must not pretend to resume.
-		m.corruptBoot++
-		_ = os.Rename(journalPath(m.cfg.Dir, jf.ID), journalPath(m.cfg.Dir, jf.ID)+".corrupt")
-		log.Printf("jobs: journal %s: params no longer valid: %v (quarantined)", jf.ID, err)
-		return
-	}
 	j := &job{
 		id: jf.ID, typ: jf.Type, lane: jf.Lane, params: jf.Params,
-		deadline: jf.Deadline, submitted: jf.Submitted, task: task,
+		deadline: jf.Deadline, submitted: jf.Submitted,
 		status: jf.Status, chunks: jf.Chunks, bitmap: jf.Bitmap,
 		data: jf.ChunkData, result: jf.Result, errMsg: jf.ErrMsg,
 		logLen: int64(jf.Valid), logged: append([]uint64(nil), jf.Bitmap...),
@@ -361,38 +353,49 @@ func (m *Manager) restore(jf *journalFile) {
 		j.failed, _ = DecodeManifest(jf.Manifest, jf.Chunks)
 	}
 	j.loggedFailed = len(j.failed)
-	if want := task.Chunks(); want != jf.Chunks && !j.status.Terminal() {
+	if j.status.Terminal() {
+		// A finished job answers from its outcome alone (see terminal),
+		// which the header's params checksum already guards, so it needs
+		// no task: its params are not re-validated, and neither a grid
+		// retune nor a tightened limit can cost it its result.
+		close(j.done)
+		m.jobs[j.id] = j
+		return
+	}
+	task, err := newTask(jf.Type, jf.Params)
+	if err != nil {
+		// The params no longer validate (a newer binary tightened a
+		// limit, or a type was retired). Quarantine like corruption: the
+		// work cannot be re-derived, so it must not pretend to resume.
+		m.corruptBoot++
+		_ = os.Rename(journalPath(m.cfg.Dir, jf.ID), journalPath(m.cfg.Dir, jf.ID)+".corrupt")
+		log.Printf("jobs: journal %s: params no longer valid: %v (quarantined)", jf.ID, err)
+		return
+	}
+	j.task = task
+	if want := task.Chunks(); want != jf.Chunks {
 		// The chunk grid changed between binaries (a retuned chunk size
 		// shows here only as a different count). Progress is sliced on
 		// the old boundaries, so it cannot be reused — but the params
 		// still validate, so restart the job from zero rather than
 		// losing it. Quarantine decisions are sliced on the same
 		// boundaries, so they reset too, and the next write rewrites the
-		// journal on the new grid. A finished job keeps its outcome: its
-		// result no longer depends on the grid.
+		// journal on the new grid.
 		j.chunks = want
 		j.bitmap = make([]uint64, bitmapWords(want))
 		j.data = make([][]byte, want)
 		j.failed = nil
 		j.logLen, j.logged, j.loggedFailed = 0, nil, 0
 	}
-	switch {
-	case j.status.Terminal():
-		// A finished job answers from its outcome alone (see terminal);
-		// the task was built only to validate the params.
-		j.task = nil
-		close(j.done)
-	default:
-		// queued or running at the time of the crash/stop: both resume
-		// as queued. Completed chunks — and quarantine decisions — ride
-		// along; that is the resume.
-		j.status = StatusQueued
-		j.resumed = bitCount(j.bitmap, j.chunks) > 0 || len(j.failed) > 0
-		if j.resumed {
-			m.resumedBoot++
-		}
-		m.queues[j.lane] = append(m.queues[j.lane], j)
+	// queued or running at the time of the crash/stop: both resume as
+	// queued. Completed chunks — and quarantine decisions — ride along;
+	// that is the resume.
+	j.status = StatusQueued
+	j.resumed = bitCount(j.bitmap, j.chunks) > 0 || len(j.failed) > 0
+	if j.resumed {
+		m.resumedBoot++
 	}
+	m.queues[j.lane] = append(m.queues[j.lane], j)
 	m.jobs[j.id] = j
 }
 

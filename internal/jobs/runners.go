@@ -157,18 +157,23 @@ type MonteCarloParams struct {
 	TrefC     *float64 `json:"trefC,omitempty"`     // default 100
 }
 
-// mcChunkSamples is the Monte Carlo chunk granularity. It is part of
-// the determinism story only through the journal (chunk boundaries are
-// params-independent), so retuning it between releases only invalidates
+// mcChunkSamples is the Monte Carlo chunk granularity, sized by work:
+// at ≈3.6 µs a sample, 1024 samples are ≈4 ms of kernel per chunk,
+// against ≈0.15 ms for the chunk's journal append and fsync and ≈75 µs
+// of fixed gob cost (a fresh encoder and decoder per blob), so the
+// per-chunk overhead is a few percent of the job while a crash or a
+// cancel still loses at most a few ms. It is part of the determinism
+// story only through the journal (chunk boundaries are
+// params-independent), so retuning it between releases only resets
 // in-flight journals (chunk-count mismatch → progress reset), never
-// results. 32 samples are about 0.2 ms of kernel work per chunk, about
-// as long as the chunk's journal append and fsync: checkpoint I/O is
-// not noise at this size, but a crash loses little and cancellation is
-// responsive.
-const mcChunkSamples = 32
+// results. It stays a power of two: two distinct powers of two differ
+// at least twofold, so a job spanning more than one chunk on either
+// grid has a different chunk count on the other, and a one-chunk job
+// has the same single chunk on both.
+const mcChunkSamples = 1024
 
-// mcMaxSamples bounds one job's total work (~tens of minutes at the
-// solver's measured per-sample cost).
+// mcMaxSamples bounds one job's total work (≈0.36 s of kernel at the
+// measured per-sample cost).
 const mcMaxSamples = 100000
 
 type monteCarloTask struct {
@@ -227,9 +232,9 @@ func (t *monteCarloTask) Chunks() int {
 	return (t.v.Samples + mcChunkSamples - 1) / mcChunkSamples
 }
 
-// Run evaluates samples [c·32, min((c+1)·32, Samples)). Each sample's
-// RNG substream is keyed on its absolute index (rules.MonteCarloRows),
-// so the blob depends only on (params, c).
+// Run evaluates samples [c·mcChunkSamples, min((c+1)·mcChunkSamples,
+// Samples)). Each sample's RNG substream is keyed on its absolute index
+// (rules.MonteCarloRows), so the blob depends only on (params, c).
 func (t *monteCarloTask) Run(ctx context.Context, chunk int) ([]byte, error) {
 	lo := chunk * mcChunkSamples
 	hi := min(lo+mcChunkSamples, t.v.Samples)
@@ -318,8 +323,10 @@ const (
 	sweepAxisDuty = "dutyCycle"
 	sweepAxisJ0   = "j0"
 
-	// sweepChunkPoints: ~16 root searches ≈ tens of ms per chunk.
-	sweepChunkPoints = 16
+	// sweepChunkPoints: a point is one ≈2 µs root search, so a chunk is
+	// ≈2 ms of serial solves. A power of two, like mcChunkSamples and for
+	// the same reason.
+	sweepChunkPoints = 1024
 	sweepMaxPoints   = 10000
 )
 
@@ -413,21 +420,18 @@ func (t *sweepTask) Chunks() int {
 	return (len(t.grid) + sweepChunkPoints - 1) / sweepChunkPoints
 }
 
-// Run solves grid[c·16, …): every point is an independent scalar root
-// search, assembled in grid order, so the blob depends only on
-// (params, c).
+// Run solves grid[c·sweepChunkPoints, …) serially on the calling job
+// worker, so a sweep occupies one job-lane worker and never the shared
+// kernel pool. Every point is an independent scalar root search,
+// assembled in grid order, so the blob depends only on (params, c).
 func (t *sweepTask) Run(ctx context.Context, chunk int) ([]byte, error) {
 	lo := chunk * sweepChunkPoints
 	hi := min(lo+sweepChunkPoints, len(t.grid))
-	var (
-		pts []core.SweepPoint
-		err error
-	)
-	if t.axis == sweepAxisDuty {
-		pts, err = core.SweepDutyCycleParallelCtx(ctx, t.prob, t.grid[lo:hi])
-	} else {
-		pts, err = core.SweepJ0ParallelCtx(ctx, t.prob, t.grid[lo:hi])
+	sweep := core.SweepDutyCycleCtx
+	if t.axis == sweepAxisJ0 {
+		sweep = core.SweepJ0Ctx
 	}
+	pts, err := sweep(ctx, t.prob, t.grid[lo:hi])
 	if err != nil {
 		return nil, err
 	}
@@ -515,7 +519,8 @@ type CouplingParams struct {
 	ObservedIndex *int `json:"observedIndex,omitempty"`
 }
 
-// couplingMaxPitches bounds one job at ~a minute of FDM solves.
+// couplingMaxPitches bounds one job at about 1.5 s of FDM solves (8–23
+// ms a pitch at the default array, for pitches of 0.6–50 µm).
 const couplingMaxPitches = 64
 
 type couplingTask struct {

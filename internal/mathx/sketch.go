@@ -76,11 +76,8 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 		lnMax:      math.Inf(-1),
 	}
 	// Every key a value can reach lies between those of the smallest
-	// subnormal, 2⁻¹⁰⁷⁴, and MaxFloat64. The low end is taken from
-	// ln 2⁻¹⁰⁷⁴ = −1074·ln 2, not math.Log, whose amd64 assembly returns
-	// −709.09 to −708.40 for every subnormal: those keys lie inside the
-	// range, and a blob binned on another platform still decodes.
-	lo, hi := int32(math.Ceil(-1074*math.Ln2*s.invLnGamma)), s.key(math.MaxFloat64)
+	// subnormal, 2⁻¹⁰⁷⁴, and MaxFloat64.
+	lo, hi := s.key(math.SmallestNonzeroFloat64), s.key(math.MaxFloat64)
 	s.neg = binStore{lo: lo, hi: hi}
 	s.pos = binStore{lo: lo, hi: hi}
 	return s
@@ -162,7 +159,18 @@ func (s *QuantileSketch) Max() float64 { return s.max }
 
 // key maps a magnitude m > 0 to its bin index k: m ∈ (γ^(k−1), γ^k].
 func (s *QuantileSketch) key(m float64) int32 {
-	return int32(math.Ceil(math.Log(m) * s.invLnGamma))
+	return int32(math.Ceil(logMag(m) * s.invLnGamma))
+}
+
+// logMag is ln m for m > 0. A subnormal m goes through its exponent,
+// ln f + e·ln 2 for m = f·2^e: math.Log's amd64 assembly returns −709.09
+// to −708.40 for every subnormal, the logs of ≈1e-308.
+func logMag(m float64) float64 {
+	if m >= 0x1p-1022 {
+		return math.Log(m)
+	}
+	f, e := math.Frexp(m)
+	return math.Log(f) + float64(e)*math.Ln2
 }
 
 // binValue is the midpoint estimate of bin k, within α relative error
@@ -239,7 +247,7 @@ func lnEdge(v, dir float64) float64 {
 	if v <= 0 {
 		return math.Inf(-1)
 	}
-	l := math.Log(v)
+	l := logMag(v)
 	return l + dir*1e-15*(1+math.Abs(l))
 }
 

@@ -119,6 +119,29 @@ func TestSketchEdgeCases(t *testing.T) {
 	}
 }
 
+// TestSketchSubnormals: subnormal values get their own bins, so each
+// one's quantile is within α of it. Binned by math.Log, which on amd64
+// returns the log of ≈1e-308 for every subnormal, all three would share
+// one bin and the median would read as the max, 1e-310.
+func TestSketchSubnormals(t *testing.T) {
+	const alpha = 0.01
+	vals := []float64{1e-320, 1e-315, 1e-310}
+	s := NewQuantileSketch(alpha)
+	for _, v := range vals {
+		s.Add(v)
+	}
+	for i, v := range vals {
+		p := float64(i) / float64(len(vals)-1)
+		if got := s.Quantile(p); math.Abs(got-v) > alpha*v {
+			t.Errorf("Quantile(%g) = %g, want %g within %g", p, got, v, alpha)
+		}
+	}
+	// math.Log2 is exact on subnormals, so it is an independent reference.
+	if want := math.Log2(s.Min()) * math.Ln2; math.Abs(s.lnMin-want) > 1e-9*math.Abs(want) {
+		t.Errorf("lnMin = %g, want ln min = %g", s.lnMin, want)
+	}
+}
+
 // TestSketchMergeOrderInvariant is the determinism rule: any split of
 // the stream, merged in any order and any grouping, yields
 // bit-identical encoded state (and hence bit-identical quantiles). The

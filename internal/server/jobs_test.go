@@ -247,9 +247,9 @@ func TestJobsQueueFullRetryAfter(t *testing.T) {
 	}
 }
 
-// mcJobBody: 96 samples / 3 chunks of reproducible Monte Carlo — big
+// mcJobBody: 3072 samples / 3 chunks of reproducible Monte Carlo — big
 // enough to checkpoint mid-run, small enough for CI.
-const mcJobBody = `{"type":"montecarlo","montecarlo":{"node":"0.10","samples":96,"seed":7,"widthSigma":0.05,"thickSigma":0.05}}`
+const mcJobBody = `{"type":"montecarlo","montecarlo":{"node":"0.10","samples":3072,"seed":7,"widthSigma":0.05,"thickSigma":0.05}}`
 
 // stallAfterN passes the first n firings of a fault site, then blocks
 // until release closes or the operation's context ends.
@@ -384,7 +384,7 @@ func TestChaosJobInteractiveLatency(t *testing.T) {
 	idle := p99("idle")
 
 	status, body := postJSON(t, ts.URL+"/v1/jobs",
-		`{"type":"montecarlo","montecarlo":{"node":"0.25","samples":10000,"seed":3,"widthSigma":0.05}}`)
+		`{"type":"montecarlo","montecarlo":{"node":"0.25","samples":100000,"seed":3,"widthSigma":0.05}}`)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", status, body)
 	}
