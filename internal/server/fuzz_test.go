@@ -94,3 +94,34 @@ func FuzzDeckKeyEncoder(f *testing.F) {
 		}
 	})
 }
+
+// TestCacheKeyBytes pins one key of each family byte for byte: a change
+// in the encoding would orphan every cached entry and snapshot.
+func TestCacheKeyBytes(t *testing.T) {
+	for _, c := range []struct{ got, want string }{
+		{solveKey("0.25", "polyimide", "Cu", 5, 2e-3, 0.1, 1.8, 100),
+			"solve|4:0.25|9:polyimide|2:Cu|5|0x1.0624dd2f1a9fcp-09|0x1.999999999999ap-04|0x1.ccccccccccccdp+00|0x1.9p+06"},
+		{solveKey("", "", "", -3, 0, 0, 1e-300, 5e-324),
+			"solve|0:|0:|0:|-3|0x0p+00|0x0p+00|0x1.56e1fc2f8f359p-997|0x1p-1074"},
+		{levelRuleKey("0.10", "", "AlCu|x", 7, 1.8, -40),
+			"rule|4:0.10|0:|6:AlCu|x|7|0x1.ccccccccccccdp+00|-0x1.4p+05"},
+		{deckKey("0.25", "HSQ", "", 1.5), "deck|4:0.25|3:HSQ|0:|0x1.8p+00"},
+	} {
+		if c.got != c.want {
+			t.Errorf("key %q, want %q", c.got, c.want)
+		}
+	}
+}
+
+// TestCacheKeyAllocs: building a key allocates only the returned string.
+func TestCacheKeyAllocs(t *testing.T) {
+	for name, build := range map[string]func() string{
+		"solve": func() string { return solveKey("0.25", "polyimide", "Cu", 5, 2e-3, 0.1, 1.8, 100) },
+		"rule":  func() string { return levelRuleKey("0.10", "HSQ", "Cu", 7, 1.8, 100) },
+		"deck":  func() string { return deckKey("0.25", "HSQ", "Cu", 1.5) },
+	} {
+		if got := testing.AllocsPerRun(100, func() { _ = build() }); got != 1 {
+			t.Errorf("%s key: %g allocs per build, want 1", name, got)
+		}
+	}
+}

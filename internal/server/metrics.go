@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -386,7 +387,7 @@ func (w *statusWriter) WriteHeader(code int) {
 // client is gone, so there is no one to tell), returns false, and
 // handlers count a completed request only on true. The bytes are
 // json.MarshalIndent's plus a newline: Encode ends the compact form with
-// one and Indent keeps trailing space.
+// one and appendIndented keeps it, as json.Indent keeps trailing space.
 func writeJSON(w http.ResponseWriter, status int, v any) bool {
 	e := jsonEncoders.Get().(*jsonEncoder)
 	defer e.release()
@@ -394,23 +395,80 @@ func writeJSON(w http.ResponseWriter, status int, v any) bool {
 		writeError(w, fmt.Errorf("%w: encode response: %v", mathx.ErrNumeric, err))
 		return false
 	}
-	// Encode wrote valid JSON, so Indent cannot fail.
-	_ = json.Indent(&e.body, e.compact.Bytes(), "", "  ")
+	e.body = appendIndented(slices.Grow(e.body[:0], 2*e.compact.Len()), e.compact.Bytes())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, err := w.Write(e.body.Bytes())
+	_, err := w.Write(e.body)
 	return err == nil
+}
+
+// appendIndented appends src to dst indented two spaces a level, the
+// bytes json.Indent(dst, src, "", "  ") appends. It is one pass with no
+// validation, so src must be encoding/json's compact output: no space
+// outside strings but a trailing newline, which it keeps. Strings are
+// copied whole, up to the first quote not escaped by a backslash;
+// every other byte is punctuation or part of a number or literal.
+func appendIndented(dst, src []byte) []byte {
+	depth := 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			end := i + 1
+			for {
+				end += bytes.IndexByte(src[end:], '"')
+				k := end
+				for src[k-1] == '\\' {
+					k--
+				}
+				if (end-k)%2 == 0 {
+					break
+				}
+				end++
+			}
+			dst = append(dst, src[i:end+1]...)
+			i = end
+		case '{', '[':
+			dst = append(dst, c)
+			if next := src[i+1]; next == '}' || next == ']' {
+				// An empty object or array stays {} or [].
+				dst = append(dst, next)
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(dst, depth)
+		case '}', ']':
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for d := 0; d < depth; d++ {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // jsonEncoder is a compact json.Encoder over its own buffer plus the
 // buffer the indented body goes to, pooled so a reply copies its body
 // into no fresh buffers. The indent is a second pass, not the encoder's
-// SetIndent, because json.Indent sizes its destination to twice the
-// compact body up front, as MarshalIndent does, where SetIndent grows
-// its buffer by appends from whatever size the pool handed out.
+// SetIndent, so the body buffer can be sized to twice the compact body
+// up front, as MarshalIndent sizes it, where SetIndent grows its buffer
+// by appends from whatever size the pool handed out.
 type jsonEncoder struct {
-	compact, body bytes.Buffer
-	enc           *json.Encoder
+	compact bytes.Buffer
+	body    []byte
+	enc     *json.Encoder
 }
 
 // maxPooledBody caps the buffers a pooled encoder keeps: the encoder of
@@ -425,10 +483,9 @@ var jsonEncoders = sync.Pool{New: func() any {
 }}
 
 func (e *jsonEncoder) release() {
-	if e.compact.Cap() > maxPooledBody || e.body.Cap() > maxPooledBody {
+	if e.compact.Cap() > maxPooledBody || cap(e.body) > maxPooledBody {
 		return
 	}
 	e.compact.Reset()
-	e.body.Reset()
 	jsonEncoders.Put(e)
 }

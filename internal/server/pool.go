@@ -41,6 +41,13 @@ func (p *Pool) InUse() int { return len(p.sem) }
 // cancellation error is returned. Tasks observe cancellation through the
 // ctx they receive.
 //
+// Workers pull indices from a shared counter and take a pool slot per
+// task, releasing it before the next, so a long request shares the pool
+// task by task with every other one. The calling goroutine is the first
+// worker and at most min(n, Size())-1 more are started: a one-task
+// request starts no goroutine, and a wide one no more than the pool can
+// run at once.
+//
 // The returned error is normalized so callers can classify it with
 // errors.Is alone: when the caller's ctx ended, the result always
 // matches ctx.Err() (context.DeadlineExceeded or context.Canceled) even
@@ -51,31 +58,44 @@ func (p *Pool) ForEach(parent context.Context, n int, fn func(ctx context.Contex
 	ctx, cancel := context.WithCancelCause(parent)
 	defer cancel(nil)
 
-	var wg sync.WaitGroup
-loop:
-	for i := 0; i < n; i++ {
-		select {
-		case p.sem <- struct{}{}:
-		case <-ctx.Done():
-			break loop
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-p.sem }()
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			select {
+			case p.sem <- struct{}{}:
+			case <-ctx.Done():
+				return
+			}
+			if ctx.Err() != nil {
+				<-p.sem
+				return
+			}
 			// Recovery boundary: a panicking task becomes this ForEach's
-			// error instead of crashing the process. The deferred slot
-			// release above still runs, so a panic can never leak pool
-			// capacity.
+			// error instead of crashing the process, and its slot is
+			// released like any other task's.
 			err := func() (err error) {
 				defer recoverTo(&err, "pool.task", p.panics)
 				return fn(ctx, i)
 			}()
+			<-p.sem
 			if err != nil {
 				cancel(err)
 			}
-		}(i)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(n, p.Size()); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 
 	if ctx.Err() == nil {

@@ -512,33 +512,39 @@ func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
 // fields are length-prefixed rather than '|'-joined: client-supplied
 // selectors may themselves contain the separator, and plain joining
 // would let ("a", "b|c") and ("a|b", "c") collide on one cache entry
-// (the key-encoder fuzz target locks this property).
-func keyFloat(b *strings.Builder, x float64) {
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatFloat(x, 'x', -1, 64))
+// (the key-encoder fuzz target locks this property). Each key is
+// appended into a stack buffer, so building one allocates only the
+// returned string.
+func keyFloat(b []byte, x float64) []byte {
+	return strconv.AppendFloat(append(b, '|'), x, 'x', -1, 64)
 }
 
-func keyStr(b *strings.Builder, s string) {
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(len(s)))
-	b.WriteByte(':')
-	b.WriteString(s)
+func keyInt(b []byte, n int) []byte {
+	return strconv.AppendInt(append(b, '|'), int64(n), 10)
 }
+
+func keyStr(b []byte, s string) []byte {
+	b = strconv.AppendInt(append(b, '|'), int64(len(s)), 10)
+	return append(append(b, ':'), s...)
+}
+
+// keyBuf is the stack buffer a key is built in; it fits any key whose
+// selectors are short, and a longer one spills to the heap.
+type keyBuf [192]byte
 
 // solveKey canonicalizes one self-consistent solve on a technology level.
 func solveKey(node, gap, metal string, level int, lengthM, r, j0, tref float64) string {
-	var b strings.Builder
-	b.WriteString("solve")
-	keyStr(&b, node)
-	keyStr(&b, gap)
-	keyStr(&b, metal)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(level))
-	keyFloat(&b, lengthM)
-	keyFloat(&b, r)
-	keyFloat(&b, j0)
-	keyFloat(&b, tref)
-	return b.String()
+	var buf keyBuf
+	b := append(buf[:0], "solve"...)
+	b = keyStr(b, node)
+	b = keyStr(b, gap)
+	b = keyStr(b, metal)
+	b = keyInt(b, level)
+	b = keyFloat(b, lengthM)
+	b = keyFloat(b, r)
+	b = keyFloat(b, j0)
+	b = keyFloat(b, tref)
+	return string(b)
 }
 
 // levelRuleKey canonicalizes one deck-level rule generation. Every Spec
@@ -547,27 +553,26 @@ func solveKey(node, gap, metal string, level int, lengthM, r, j0, tref float64) 
 // part of the key, or requests differing only in that field would
 // silently share a row.
 func levelRuleKey(node, gap, metal string, level int, j0, tref float64) string {
-	var b strings.Builder
-	b.WriteString("rule")
-	keyStr(&b, node)
-	keyStr(&b, gap)
-	keyStr(&b, metal)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(level))
-	keyFloat(&b, j0)
-	keyFloat(&b, tref)
-	return b.String()
+	var buf keyBuf
+	b := append(buf[:0], "rule"...)
+	b = keyStr(b, node)
+	b = keyStr(b, gap)
+	b = keyStr(b, metal)
+	b = keyInt(b, level)
+	b = keyFloat(b, j0)
+	b = keyFloat(b, tref)
+	return string(b)
 }
 
 // deckKey canonicalizes a whole-deck generation (netcheck path).
 func deckKey(node, gap, metal string, j0MA float64) string {
-	var b strings.Builder
-	b.WriteString("deck")
-	keyStr(&b, node)
-	keyStr(&b, gap)
-	keyStr(&b, metal)
-	keyFloat(&b, j0MA)
-	return b.String()
+	var buf keyBuf
+	b := append(buf[:0], "deck"...)
+	b = keyStr(b, node)
+	b = keyStr(b, gap)
+	b = keyStr(b, metal)
+	b = keyFloat(b, j0MA)
+	return string(b)
 }
 
 // solveResult is what the cache stores for a solve key: the outcome,

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,4 +119,111 @@ func TestWriteJSONAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { writeJSON(w, http.StatusOK, &v) }); got > 1 {
 		t.Fatalf("writeJSON allocates %g times per reply, want ≤ 1", got)
 	}
+}
+
+// checkIndented fails unless appendIndented over v's compact encoding,
+// with and without the newline Encode ends it with, appends the bytes
+// json.Indent appends.
+func checkIndented(t *testing.T, v any) {
+	t.Helper()
+	compact, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	for _, src := range [][]byte{compact, append(compact, '\n')} {
+		var want bytes.Buffer
+		if err := json.Indent(&want, src, "", "  "); err != nil {
+			t.Fatalf("json.Indent(%q): %v", src, err)
+		}
+		if got := appendIndented(nil, src); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendIndented(%q)\ngot  %q\nwant %q", src, got, want.Bytes())
+		}
+	}
+}
+
+// randomJSON draws a JSON value of at most depth levels whose strings
+// favour the bytes a re-indenter can trip on.
+func randomJSON(r *rand.Rand, depth int) any {
+	pieces := []string{`"`, `\`, `\"`, `\\`, "<", "&", "{", "}", "[", "]", ",", ":", " ", "\n", "é", " ", "a"}
+	str := func() string {
+		var b strings.Builder
+		for n := r.Intn(6); n > 0; n-- {
+			b.WriteString(pieces[r.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	k := r.Intn(8)
+	if depth == 0 {
+		k %= 5
+	}
+	switch k {
+	case 0:
+		return nil
+	case 1:
+		return r.Intn(2) == 0
+	case 2:
+		return r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20))
+	case 3, 4:
+		return str()
+	case 5, 6:
+		a := make([]any, r.Intn(4))
+		for i := range a {
+			a[i] = randomJSON(r, depth-1)
+		}
+		return a
+	default:
+		m := map[string]any{}
+		for n := r.Intn(4); n > 0; n-- {
+			m[str()] = randomJSON(r, depth-1)
+		}
+		return m
+	}
+}
+
+// TestAppendIndentedMatchesIndent: the one-pass re-indent appends what
+// json.Indent appends, for the shapes that need care (empty containers,
+// escaped quotes and backslashes, HTML-escaped text, deep nesting) and
+// for random values.
+func TestAppendIndentedMatchesIndent(t *testing.T) {
+	deep := any("leaf")
+	for i := 0; i < 300; i++ {
+		if i%2 == 0 {
+			deep = []any{deep, map[string]any{}}
+		} else {
+			deep = map[string]any{"k": deep, "e": []any{}}
+		}
+	}
+	for _, v := range []any{
+		map[string]any{}, []any{}, []any{[]any{}, map[string]any{}},
+		map[string]any{"": map[string]any{"": []any{}}},
+		`a"b`, `\`, `\"`, `a\\"b`, `ends with \`, `"\\"`,
+		"<a&b>", "  ", "é", "", nil, true, 1.5e-300, -0.0,
+		map[string]any{`k"\`: []any{`"`, `\`, 1, nil}},
+		deep,
+	} {
+		checkIndented(t, v)
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		checkIndented(t, randomJSON(r, 5))
+	}
+}
+
+// FuzzAppendIndented: for any JSON value, appendIndented over
+// json.Marshal's bytes equals json.Indent(…, "", "  ").
+func FuzzAppendIndented(f *testing.F) {
+	for _, s := range []string{
+		`{}`, `[]`, `[{},[],""]`, `{"a":{"b":[1,2,{"c":null}]}}`,
+		`"\"\\"`, `"\\\\\""`, `"<a&b>"`, `" "`, `[[[[[[[[[[[[[[[[]]]]]]]]]]]]]]]]`,
+		`{"k\"":"v\\","x":[true,false,-1.5e-7]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v any
+		if json.Unmarshal(data, &v) != nil {
+			return
+		}
+		checkIndented(t, v)
+	})
 }
