@@ -3,10 +3,13 @@ package chipcheck
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"dsmtherm/internal/em"
 	"dsmtherm/internal/mathx"
 )
 
@@ -362,5 +365,35 @@ func TestNearIdleSegmentsAreIdle(t *testing.T) {
 	}
 	if r.Summary.Idle != r.Summary.Branches || !r.Summary.OK {
 		t.Fatalf("summary %+v, want all idle and OK", r.Summary)
+	}
+}
+
+// TestVerdictsLowestBranchError: when the lifetime ratio fails at two
+// branches, Verdicts returns the lower branch's error, wrapped with its
+// index and still matchable as the em sentinel, on every call.
+func TestVerdictsLowestBranchError(t *testing.T) {
+	p := mediumFixture()
+	p.Nx, p.Ny = 48, 48
+	c, f := solveFixture(t, p)
+	// The first current-carrying branches from 7 and from 3000 on (pad
+	// ring branches carry none).
+	var bad []int
+	for _, from := range []int{7, 3000} {
+		bi := from
+		for bi < len(f.Sol.Branches) && f.Sol.Branches[bi].J == 0 {
+			bi++
+		}
+		if bi == len(f.Sol.Branches) {
+			t.Fatalf("no current-carrying branch from %d on", from)
+		}
+		f.Sol.Branches[bi].Tm = -1
+		bad = append(bad, bi)
+	}
+	want := fmt.Sprintf("branch %d:", bad[0])
+	for call := 0; call < 50; call++ {
+		_, err := c.Verdicts(f, 0, c.NumBranches())
+		if !errors.Is(err, em.ErrInvalid) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("call %d: error %v, want branch %d's em.ErrInvalid", call, err, bad[0])
+		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"dsmtherm/internal/em"
-	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/phys"
 )
 
@@ -40,10 +38,13 @@ type Verdict struct {
 }
 
 // Verdicts runs the single-pass EM check over branches [lo, hi) of the
-// solved field. The pass is embarrassingly parallel (indexed writes via
-// mathx.ParFor, bit-deterministic at any worker count) and each
-// verdict depends only on the field and its own branch — so a tile's
-// verdict slice is a pure function of (Params, tile range).
+// solved field, serially on the calling goroutine: a verdict is a few
+// flops a branch, cheaper than handing branches to other cores, and the
+// job lane runs chipcheck chunks on its own workers. Each verdict
+// depends only on the field and its own branch, so a tile's verdict
+// slice is a pure function of (Params, tile range). A branch whose
+// lifetime ratio fails stops the pass with that error, wrapped with the
+// branch index, so the error is the lowest-index one.
 func (c *Check) Verdicts(f *Field, lo, hi int) ([]Verdict, error) {
 	nb := c.NumBranches()
 	if lo < 0 || hi < lo || hi > nb {
@@ -53,46 +54,35 @@ func (c *Check) Verdicts(f *Field, lo, hi int) ([]Verdict, error) {
 		return nil, fmt.Errorf("%w: field has %d branches, grid %d", ErrInvalid, len(f.Sol.Branches), nb)
 	}
 	out := make([]Verdict, hi-lo)
-	var errMu sync.Mutex
-	var firstErr error
-	mathx.ParFor(hi-lo, func(k int) {
-		bi := lo + k
+	for bi := lo; bi < hi; bi++ {
 		b := &f.Sol.Branches[bi]
 		level, length, _ := c.Grid.BranchGeometry(b)
-		v := Verdict{
+		v := &out[bi-lo]
+		*v = Verdict{
 			Branch: bi,
 			Level:  level,
 			JMA:    phys.ToMAPerCm2(b.J),
 			TmC:    phys.KToC(b.Tm),
+			Code:   CodeIdle,
 		}
 		if b.J == 0 {
-			v.Code = CodeIdle
-			out[k] = v
-			return
+			continue
 		}
 		ratio, err := em.LifetimeRatio(c.metal, b.J, b.Tm, c.j0, c.tref)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-			return
+			return nil, fmt.Errorf("chipcheck: branch %d: %w", bi, err)
 		}
 		if math.IsInf(ratio, 1) {
 			// A current too small for Black's law to bound in float64:
 			// EM cannot act on it, so it is idle like a zero current.
-			v.Code = CodeIdle
-			out[k] = v
-			return
+			continue
 		}
 		v.Ratio = ratio
 		if c.hasTransport {
 			if imm, err := em.Immortal(c.metal, c.transport, b.J, length, b.Tm); err == nil && imm {
 				v.Immortal = true
 				v.Code = CodeImmortal
-				out[k] = v
-				return
+				continue
 			}
 		}
 		if ratio >= 1 {
@@ -100,10 +90,6 @@ func (c *Check) Verdicts(f *Field, lo, hi int) ([]Verdict, error) {
 		} else {
 			v.Code = CodeFail
 		}
-		out[k] = v
-	})
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }

@@ -9,10 +9,11 @@ import (
 
 // handleChipcheck is the synchronous full-chip coupled EM + IR-drop +
 // thermal signoff path, sized for sub-second grids (the node count is
-// capped by Config.MaxChipNodes). The coupled solve runs inside one
-// pool slot — it is one logical solver task, and its inner kernels
-// already parallelize through mathx workers — so chip checks count
-// against the same global concurrency bound as every other solver
+// capped by Config.MaxChipNodes). The coupled solve, the verdict pass
+// and the report run as one pool task on the handler's goroutine — one
+// logical solver task, whose solve kernels parallelize through mathx
+// workers while the verdict pass is a serial loop — so chip checks
+// count against the same global concurrency bound as every other solver
 // route. Grids past the cap belong on the bulk job lane ("chipcheck"
 // job type), which also streams per-segment verdicts without the
 // synchronous response-size cap.
