@@ -2,11 +2,7 @@ package netcheck
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // ForEachFunc schedules fn(ctx, i) for every i in [0, n) and blocks
@@ -66,69 +62,4 @@ func CheckWith(ctx context.Context, cfg Config, segments []*Segment, run ForEach
 		}
 	}
 	return assembleReport(cfg, findings), nil
-}
-
-// CheckConcurrent is CheckWith driving its own bounded worker set — the
-// standalone entry point for callers without a shared pool. workers <= 0
-// selects GOMAXPROCS. The determinism guarantees are CheckWith's.
-func CheckConcurrent(ctx context.Context, cfg Config, segments []*Segment, workers int) (*Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segments) {
-		workers = len(segments)
-	}
-	if workers <= 1 {
-		if err := cfg.defaults(); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return Check(cfg, segments)
-	}
-	return CheckWith(ctx, cfg, segments, boundedRunner(workers))
-}
-
-// boundedRunner is a self-contained ForEachFunc: up to workers
-// goroutines pull indices from an atomic counter. A task error cancels
-// the derived context and wins the return value (CheckWith's tasks only
-// fail via cancellation, so the lowest-index error rule is unaffected).
-func boundedRunner(workers int) ForEachFunc {
-	return func(parent context.Context, n int, fn func(ctx context.Context, i int) error) error {
-		ctx, cancel := context.WithCancelCause(parent)
-		defer cancel(nil)
-		if workers > n {
-			workers = n
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n || ctx.Err() != nil {
-						return
-					}
-					if err := fn(ctx, i); err != nil {
-						cancel(err)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if ctx.Err() == nil {
-			return nil
-		}
-		// Normalize as server.Pool.ForEach does: when the parent ended
-		// but a sibling task's error won the cause race, return an error
-		// satisfying errors.Is for both.
-		cause := context.Cause(ctx)
-		if perr := parent.Err(); perr != nil && !errors.Is(cause, perr) {
-			return fmt.Errorf("%w: %w", perr, cause)
-		}
-		return cause
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,35 @@ func mixedDesign(t testing.TB, n int) (Config, []*Segment) {
 	return Config{Deck: deck}, segs
 }
 
+// boundedRunner is a ForEachFunc with its own worker set: up to workers
+// goroutines (GOMAXPROCS when workers <= 0) pull indices from a shared
+// counter, and the first task error cancels the rest and is returned,
+// as a server pool's ForEach does.
+func boundedRunner(workers int) ForEachFunc {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return func(parent context.Context, n int, fn func(context.Context, int) error) error {
+		ctx, cancel := context.WithCancelCause(parent)
+		defer cancel(nil)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < min(workers, n); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+					if err := fn(ctx, i); err != nil {
+						cancel(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return context.Cause(ctx)
+	}
+}
+
 func TestCheckConcurrentMatchesSerial(t *testing.T) {
 	cfg, segs := mixedDesign(t, 60)
 	serial, err := Check(cfg, segs)
@@ -39,7 +69,7 @@ func TestCheckConcurrentMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 3, 8, 100} {
-		conc, err := CheckConcurrent(context.Background(), cfg, segs, workers)
+		conc, err := CheckWith(context.Background(), cfg, segs, boundedRunner(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -58,7 +88,7 @@ func TestCheckConcurrentErrorMatchesSerial(t *testing.T) {
 	if serialErr == nil {
 		t.Fatal("expected serial error")
 	}
-	_, concErr := CheckConcurrent(context.Background(), cfg, segs, 4)
+	_, concErr := CheckWith(context.Background(), cfg, segs, boundedRunner(4))
 	if concErr == nil {
 		t.Fatal("expected concurrent error")
 	}
@@ -164,26 +194,14 @@ func TestCheckWithCancellation(t *testing.T) {
 	}
 }
 
-func TestCheckConcurrentCancellation(t *testing.T) {
-	cfg, segs := mixedDesign(t, 40)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := CheckConcurrent(ctx, cfg, segs, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("want context.Canceled, got %v", err)
-	}
-	if _, err := CheckConcurrent(ctx, cfg, segs, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("workers=1: want context.Canceled, got %v", err)
-	}
-}
-
-// BenchmarkNetcheckParallel tracks the serving-path signoff throughput:
-// one batch design checked with the concurrent entry point at GOMAXPROCS
-// workers, against the serial baseline below.
+// BenchmarkNetcheckParallel is the signoff throughput of one design
+// checked through CheckWith on GOMAXPROCS bounded workers, against the
+// serial baseline below.
 func BenchmarkNetcheckParallel(b *testing.B) {
 	cfg, segs := mixedDesign(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CheckConcurrent(context.Background(), cfg, segs, 0); err != nil {
+		if _, err := CheckWith(context.Background(), cfg, segs, boundedRunner(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -209,7 +209,7 @@ func Check(cfg Config, segments []*Segment) (*Report, error) {
 
 // assembleReport builds the Report from findings listed in segment input
 // order: the per-net worst verdicts, then the worst-first stable sort.
-// Both Check and CheckConcurrent funnel through it, so their output is
+// Both Check and CheckWith funnel through it, so their output is
 // identical for the same design.
 func assembleReport(cfg Config, findings []Finding) *Report {
 	rep := &Report{Findings: findings, ByNet: map[string]Verdict{}, Tref: cfg.Deck.Spec.Tref}
