@@ -19,10 +19,11 @@ import (
 //  1. flightGroup.Do wraps the leader's compute (recoverTo), so a
 //     panicking solve settles its flight with a *panicError instead of
 //     leaving waiters blocked on a flight that will never close;
-//  2. Pool.ForEach wraps every task goroutine, so a panic anywhere in
-//     pool-run work (netcheck segments, sweep points) becomes the
-//     ForEach error instead of crashing the process — the deferred
-//     slot release still runs;
+//  2. Pool.ForEach wraps every task, on whichever worker runs it (the
+//     caller's goroutine included), so a panic anywhere in pool-run
+//     work (netcheck segments, sweep points) becomes the ForEach error
+//     instead of crashing the process — the task's slot is still
+//     released;
 //  3. the route middleware is the backstop for panics in handler code
 //     outside the pool (decode, response marshaling): it writes a
 //     best-effort structured 500 and keeps the connection's worker
