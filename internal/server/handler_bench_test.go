@@ -6,7 +6,8 @@ package server
 // perfbench's interactive generators draw them, and every cache warmed
 // before the timer starts, so an op is admission, decoding, key
 // building, the pool, cache lookups and response encoding (plus the
-// per-segment checks on netcheck). One op is at least 1 ms, so
+// per-segment checks on netcheck and the coupled solves on chipcheck).
+// One op is at least 1 ms, so
 // -benchtime 10x resolves it:
 //
 //	go test ./internal/server -run '^$' -bench Handler -benchtime 10x -benchmem
@@ -20,6 +21,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"dsmtherm/internal/chipcheck"
 	"dsmtherm/internal/netcheck"
 	"dsmtherm/internal/ntrs"
 )
@@ -139,6 +141,35 @@ func BenchmarkHandlerBatch(b *testing.B) {
 // design on a cached deck.
 func BenchmarkHandlerNetcheck(b *testing.B) {
 	hb := newHandlerBench(b, "/v1/netcheck", benchDesign(rand.New(rand.NewSource(benchSeed))))
+	for i := 0; i < b.N; i++ {
+		hb.op(b)
+	}
+}
+
+// benchChipGrids draws one 48×32 and one 12×12 pad-ring check, each
+// with a uniform load and one hotspot, as perfbench's chipscale grid
+// generators draw them.
+func benchChipGrids(r *rand.Rand) []any {
+	uniform := func(lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
+	fp := func(v float64) *float64 { return &v }
+	medium := chipcheck.Params{
+		Nx: 48, Ny: 32, WidthMultiple: fp(8), PadRing: true,
+		UniformLoadA: fp(uniform(11, 13)),
+		Loads:        []chipcheck.LoadSpec{{I: 8 + r.Intn(32), J: 6 + r.Intn(20), Amps: uniform(1.6, 2)}},
+	}
+	small := chipcheck.Params{
+		Nx: 12, Ny: 12, PadRing: true,
+		UniformLoadA: fp(uniform(1, 1.4)),
+		Loads:        []chipcheck.LoadSpec{{I: 2 + r.Intn(8), J: 2 + r.Intn(8), Amps: uniform(0.2, 0.4)}},
+	}
+	return []any{medium, small}
+}
+
+// BenchmarkHandlerChipcheck: one op is one 48×32 and one 12×12
+// /v1/chipcheck check, on a daemon that has already answered both
+// geometries.
+func BenchmarkHandlerChipcheck(b *testing.B) {
+	hb := newHandlerBench(b, "/v1/chipcheck", benchChipGrids(rand.New(rand.NewSource(benchSeed)))...)
 	for i := 0; i < b.N; i++ {
 		hb.op(b)
 	}
