@@ -159,54 +159,93 @@ func (req *RulesRequest) params() rulesParams {
 }
 
 // rulesWork is one validated rules query, ready to solve inside a pool
-// slot. prepareRules does everything cheap (technology resolution,
-// validation, canonical keys) so /v1/batch can deduplicate entries
-// before any solver time is spent.
+// slot. prepareRules does everything cheap (validation, canonical keys)
+// so /v1/batch can deduplicate entries before any solver time is spent.
+// It builds no technology: the solve and the deck row build theirs only
+// on a cache miss.
 type rulesWork struct {
 	p        rulesParams
-	tech     *ntrs.Technology
-	line     *geometry.Line
 	spec     rules.Spec
 	solveKey string
 	ruleKey  string
 }
 
 func (s *Server) prepareRules(p rulesParams) (*rulesWork, error) {
-	tech, err := resolveTech(p.Node, p.Gap, p.Metal)
-	if err != nil {
-		return nil, err
-	}
-	line, err := tech.Line(p.Level, phys.Microns(p.LengthUm))
-	if err != nil {
-		return nil, badRequestf("%v", err)
+	if !p.lineValid() {
+		// Only a query tech.Line may reject builds its technology here,
+		// so the 400 carries tech.Line's own message.
+		if _, _, err := p.line(); err != nil {
+			return nil, err
+		}
 	}
 	spec := rules.Spec{J0: phys.MAPerCm2(p.J0MA), Tref: phys.CToK(p.TrefC)}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return &rulesWork{
-		p: p, tech: tech, line: line, spec: spec,
-		solveKey: solveKey(p.Node, p.Gap, p.Metal, p.Level, line.Length,
+		p: p, spec: spec,
+		solveKey: solveKey(p.Node, p.Gap, p.Metal, p.Level, phys.Microns(p.LengthUm),
 			p.DutyCycle, p.J0MA, p.TrefC),
 		ruleKey: levelRuleKey(p.Node, p.Gap, p.Metal, p.Level, p.J0MA, p.TrefC),
 	}, nil
+}
+
+// lineValid reports, without building the technology, that line would
+// succeed: a known node, gap and metal, a level the node has, and a
+// length tech.Line accepts. A false answer may be conservative; the
+// caller then asks line itself.
+func (p rulesParams) lineValid() bool {
+	levels, ok := nodeLevels(p.Node)
+	if !ok || p.Level < 1 || p.Level > levels || phys.Microns(p.LengthUm) <= 0 {
+		return false
+	}
+	if p.Gap != "" {
+		// A lower level's stack holds the gap-fill, which must conduct.
+		if d, err := material.DielectricByName(p.Gap); err != nil || !(d.ThermalCond > 0) {
+			return false
+		}
+	}
+	if p.Metal != "" {
+		if _, err := material.MetalByName(p.Metal); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// line builds the query's technology and its line.
+func (p rulesParams) line() (*ntrs.Technology, *geometry.Line, error) {
+	tech, err := resolveTech(p.Node, p.Gap, p.Metal)
+	if err != nil {
+		return nil, nil, err
+	}
+	line, err := tech.Line(p.Level, phys.Microns(p.LengthUm))
+	if err != nil {
+		return nil, nil, badRequestf("%v", err)
+	}
+	return tech, line, nil
 }
 
 // solveRules answers one prepared rules query. It must run inside a
 // pool slot: the solve and the deck row count against the same global
 // solver concurrency bound as sweep fan-out and batch signoff.
 func (s *Server) solveRules(ctx context.Context, wk *rulesWork) (*RulesResponse, error) {
-	sol, hit, solCoal, solStale, err := s.solveCached(ctx, wk.solveKey, core.Problem{
-		Line:  wk.line,
-		Model: *wk.spec.Model,
-		R:     wk.p.DutyCycle,
-		J0:    phys.MAPerCm2(wk.p.J0MA),
-		Tref:  phys.CToK(wk.p.TrefC),
+	sol, hit, solCoal, solStale, err := s.solveCached(ctx, wk.solveKey, func() (core.Problem, error) {
+		_, line, err := wk.p.line()
+		return core.Problem{
+			Line:  line,
+			Model: *wk.spec.Model,
+			R:     wk.p.DutyCycle,
+			J0:    phys.MAPerCm2(wk.p.J0MA),
+			Tref:  phys.CToK(wk.p.TrefC),
+		}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	rule, ruleCoal, ruleStale, err := s.levelRuleCached(ctx, wk.ruleKey, wk.tech, wk.p.Level, wk.spec)
+	rule, ruleCoal, ruleStale, err := s.levelRuleCached(ctx, wk.ruleKey, func() (*ntrs.Technology, error) {
+		return resolveTech(wk.p.Node, wk.p.Gap, wk.p.Metal)
+	}, wk.p.Level, wk.spec)
 	if err != nil {
 		return nil, err
 	}
@@ -436,12 +475,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		sol, _, _, stale, err := s.solveCached(ctx,
 			solveKey(node, req.Gap, req.Metal, req.Level, line.Length,
 				duty, j0MA, trefC),
-			core.Problem{
-				Line:  line,
-				Model: *spec.Model,
-				R:     duty,
-				J0:    phys.MAPerCm2(j0MA),
-				Tref:  phys.CToK(trefC),
+			func() (core.Problem, error) {
+				return core.Problem{
+					Line:  line,
+					Model: *spec.Model,
+					R:     duty,
+					J0:    phys.MAPerCm2(j0MA),
+					Tref:  phys.CToK(trefC),
+				}, nil
 			})
 		if err != nil {
 			return fmt.Errorf("sweep at r=%g: %w", duty, err)

@@ -45,8 +45,8 @@ func (p *Pool) InUse() int { return len(p.sem) }
 // task, releasing it before the next, so a long request shares the pool
 // task by task with every other one. The calling goroutine is the first
 // worker and at most min(n, Size())-1 more are started: a one-task
-// request starts no goroutine, and a wide one no more than the pool can
-// run at once.
+// request starts no goroutine and derives no context, and a wide one
+// starts no more than the pool can run at once.
 //
 // The returned error is normalized so callers can classify it with
 // errors.Is alone: when the caller's ctx ended, the result always
@@ -55,6 +55,9 @@ func (p *Pool) InUse() int { return len(p.sem) }
 // and the cause, task sentinels included, stays matchable through the
 // same error.
 func (p *Pool) ForEach(parent context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	if n == 1 {
+		return p.one(parent, fn)
+	}
 	ctx, cancel := context.WithCancelCause(parent)
 	defer cancel(nil)
 
@@ -65,24 +68,10 @@ func (p *Pool) ForEach(parent context.Context, n int, fn func(ctx context.Contex
 			if i >= n {
 				return
 			}
-			select {
-			case p.sem <- struct{}{}:
-			case <-ctx.Done():
+			if !p.acquire(ctx) {
 				return
 			}
-			if ctx.Err() != nil {
-				<-p.sem
-				return
-			}
-			// Recovery boundary: a panicking task becomes this ForEach's
-			// error instead of crashing the process, and its slot is
-			// released like any other task's.
-			err := func() (err error) {
-				defer recoverTo(&err, "pool.task", p.panics)
-				return fn(ctx, i)
-			}()
-			<-p.sem
-			if err != nil {
+			if err := p.run(ctx, i, fn); err != nil {
 				cancel(err)
 			}
 		}
@@ -101,12 +90,55 @@ func (p *Pool) ForEach(parent context.Context, n int, fn func(ctx context.Contex
 	if ctx.Err() == nil {
 		return nil
 	}
-	cause := context.Cause(ctx)
+	return settle(parent, context.Cause(ctx))
+}
+
+// one is ForEach for a single task (rules, chipcheck, lifetime). With
+// no sibling to cancel it derives no context: the task runs on the
+// caller's. Its error stands if the caller's context was still live
+// when it returned; otherwise the context's cause does, as a derived
+// context would have recorded it.
+func (p *Pool) one(parent context.Context, fn func(ctx context.Context, i int) error) error {
+	if p.acquire(parent) {
+		if err := p.run(parent, 0, fn); parent.Err() == nil {
+			return err
+		}
+	}
+	return settle(parent, context.Cause(parent))
+}
+
+// acquire takes a pool slot for one task, or reports false when ctx
+// ends first.
+func (p *Pool) acquire(ctx context.Context) bool {
+	select {
+	case p.sem <- struct{}{}:
+	case <-ctx.Done():
+		return false
+	}
+	if ctx.Err() != nil {
+		<-p.sem
+		return false
+	}
+	return true
+}
+
+// run runs task i in its acquired slot and releases the slot.
+// Recovery boundary: a panicking task becomes the task's error instead
+// of crashing the process, and its slot is released like any other
+// task's.
+func (p *Pool) run(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+	defer func() { <-p.sem }()
+	defer recoverTo(&err, "pool.task", p.panics)
+	return fn(ctx, i)
+}
+
+// settle normalizes ForEach's error, the cause of its ended context:
+// when the caller's ctx ended while a task error (or a custom
+// cancellation cause) held the cause slot, it surfaces both, so the
+// error satisfies errors.Is for the context error AND for whatever
+// sentinel the cause wraps.
+func settle(parent context.Context, cause error) error {
 	if perr := parent.Err(); perr != nil && !errors.Is(cause, perr) {
-		// The parent context ended while a task error (or a custom
-		// cancellation cause) held the cause slot. Surface both: the
-		// wrapped pair satisfies errors.Is for the context error AND
-		// for whatever sentinel the cause wraps.
 		return fmt.Errorf("%w: %w", perr, cause)
 	}
 	return cause

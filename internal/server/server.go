@@ -479,16 +479,43 @@ func (s *Server) snapshotLoop(ctx context.Context) {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // resolveTech maps request-level technology selectors to a Technology.
+// techNodes maps every node name the API accepts to its technology's
+// constructor and level count, so a query can be validated and keyed
+// without building a technology.
+var techNodes = func() map[string]techNode {
+	m := map[string]techNode{}
+	for _, n := range []struct {
+		names []string
+		build func() *ntrs.Technology
+	}{
+		{[]string{"", "0.25", "250"}, ntrs.N250},
+		{[]string{"0.10", "0.1", "100"}, ntrs.N100},
+	} {
+		levels := n.build().NumLevels()
+		for _, name := range n.names {
+			m[name] = techNode{build: n.build, levels: levels}
+		}
+	}
+	return m
+}()
+
+type techNode struct {
+	build  func() *ntrs.Technology
+	levels int
+}
+
+// nodeLevels returns the level count of an accepted node name.
+func nodeLevels(node string) (int, bool) {
+	n, ok := techNodes[node]
+	return n.levels, ok
+}
+
 func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
-	var tech *ntrs.Technology
-	switch node {
-	case "", "0.25", "250":
-		tech = ntrs.N250()
-	case "0.10", "0.1", "100":
-		tech = ntrs.N100()
-	default:
+	n, ok := techNodes[node]
+	if !ok {
 		return nil, badRequestf("unknown node %q (want 0.25 or 0.10)", node)
 	}
+	tech := n.build()
 	if gap != "" {
 		d, err := material.DielectricByName(gap)
 		if err != nil {
@@ -662,8 +689,9 @@ func (s *Server) markStale(at time.Time) bool {
 // re-solving. Cancellation outcomes are never cached (they describe the
 // request's lifecycle, not the problem), and neither are unclassified
 // internal failures (cacheableOutcome); those feed the quarantine and
-// breaker instead.
-func (s *Server) solveCached(ctx context.Context, key string, p core.Problem) (sol core.Solution, hit, coalesced, stale bool, err error) {
+// breaker instead. problem builds the solve's inputs; only a flight
+// leader calls it, so a hit builds no technology.
+func (s *Server) solveCached(ctx context.Context, key string, problem func() (core.Problem, error)) (sol core.Solution, hit, coalesced, stale bool, err error) {
 	if v, at, ok := s.cache.GetAt(key); ok {
 		res := v.(solveResult)
 		s.metrics.SolveCached.Add(1)
@@ -675,6 +703,10 @@ func (s *Server) solveCached(ctx context.Context, key string, p core.Problem) (s
 	}
 	var v any
 	v, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
+		p, err := problem()
+		if err != nil {
+			return core.Solution{}, err
+		}
 		start := time.Now()
 		sol, err := core.SolveCtx(ctx, p)
 		s.metrics.ObserveSolve(time.Since(start), err)
@@ -690,8 +722,8 @@ func (s *Server) solveCached(ctx context.Context, key string, p core.Problem) (s
 
 // levelRuleCached runs rules.GenerateLevelCtx through the cache, the
 // resilience gates and the flight group (same caching rules as
-// solveCached).
-func (s *Server) levelRuleCached(ctx context.Context, key string, tech *ntrs.Technology, level int, spec rules.Spec) (rule rules.LevelRule, coalesced, stale bool, err error) {
+// solveCached); tech builds the technology for a flight leader only.
+func (s *Server) levelRuleCached(ctx context.Context, key string, tech func() (*ntrs.Technology, error), level int, spec rules.Spec) (rule rules.LevelRule, coalesced, stale bool, err error) {
 	if v, at, ok := s.cache.GetAt(key); ok {
 		s.metrics.DeckCacheHit.Add(1)
 		res := v.(levelRuleResult)
@@ -703,7 +735,11 @@ func (s *Server) levelRuleCached(ctx context.Context, key string, tech *ntrs.Tec
 	}
 	var v any
 	v, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
-		rule, err := rules.GenerateLevelCtx(ctx, tech, level, spec)
+		t, err := tech()
+		if err != nil {
+			return rules.LevelRule{}, err
+		}
+		rule, err := rules.GenerateLevelCtx(ctx, t, level, spec)
 		s.metrics.DecksBuilt.Add(1)
 		if ctx.Err() == nil && cacheableOutcome(err) {
 			s.cache.Add(key, levelRuleResult{rule: rule, err: err})

@@ -331,6 +331,30 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestRulesRejectMessages pins the 400 messages of rules queries that
+// prepareRules validates without a technology: a rejected query still
+// gets tech.Line's (or the material lookup's) own words.
+func TestRulesRejectMessages(t *testing.T) {
+	h := New(Config{Workers: 2}).Handler()
+	for body, want := range map[string]string{
+		`{"node":"0.25","level":0}`:                                  "ntrs: NTRS-0.25um has no level 0 (1..6)",
+		`{"node":"0.10","level":9,"gap":"polyimide","metal":"AlCu"}`: "ntrs: NTRS-0.10um/Polyimide/AlCu has no level 9 (1..8)",
+		`{"node":"0.25","level":3,"gap":"aerogel"}`:                  `material: unknown dielectric "aerogel"`,
+		`{"node":"0.25","level":3,"metal":"Ag"}`:                     `material: unknown metal "Ag"`,
+		`{"node":"0.25","level":3,"lengthUm":0}`:                     "geometry: invalid parameters: non-positive dimension W=4.5e-07 t=8.1e-07 L=0",
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/rules", strings.NewReader(body)))
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body.Bytes())
+		}
+		if want = "server: bad request: " + want; e.Error.Message != want {
+			t.Errorf("%s: message %q, want %q", body, e.Error.Message, want)
+		}
+	}
+}
+
 func TestErrorsCountedInMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
 	postJSON(t, ts.URL+"/v1/rules", `{"node":"0.07"}`)

@@ -227,3 +227,26 @@ func FuzzAppendIndented(f *testing.F) {
 		checkIndented(t, v)
 	})
 }
+
+// TestRulesCachedAllocs pins what a cached /v1/rules query allocates
+// through the whole handler chain, the test's recorder and request
+// included: a hit builds no technology and a one-task pool call derives
+// no context (62 allocations before either).
+func TestRulesCachedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop values")
+	}
+	h := New(Config{Workers: 2}).Handler()
+	body := []byte(`{"node":"0.10","level":7,"dutyCycle":0.2}`)
+	query := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/rules", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	query() // warm the caches
+	if got := testing.AllocsPerRun(200, query); got > 50 {
+		t.Fatalf("a cached rules query allocates %g times, want ≤ 50", got)
+	}
+}
