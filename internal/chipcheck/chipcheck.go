@@ -21,6 +21,7 @@ package chipcheck
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -137,9 +138,13 @@ type Check struct {
 	dropLimit float64 // V
 
 	includeSegments bool
+
+	key string // geometryKey
 }
 
-func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
+// resolveTech also returns the node's technology name, which a gap or
+// metal swap extends.
+func resolveTech(node, gap, metal string) (*ntrs.Technology, string, error) {
 	var tech *ntrs.Technology
 	switch node {
 	case "", "0.25", "250":
@@ -147,23 +152,53 @@ func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
 	case "0.10", "0.1", "100":
 		tech = ntrs.N100()
 	default:
-		return nil, fmt.Errorf("%w: unknown node %q (want 0.25 or 0.10)", ErrInvalid, node)
+		return nil, "", fmt.Errorf("%w: unknown node %q (want 0.25 or 0.10)", ErrInvalid, node)
 	}
+	name := tech.Name
 	if gap != "" {
 		d, err := material.DielectricByName(gap)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+			return nil, "", fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
 		tech = tech.WithGapFill(d)
 	}
 	if metal != "" {
 		m, err := material.MetalByName(metal)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+			return nil, "", fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
 		tech = tech.WithMetal(m)
 	}
-	return tech, nil
+	return tech, name, nil
+}
+
+// geometryKey is the exact key of the inputs an Operator depends on:
+// the technology (node, gap-fill and metal names), the strap levels,
+// the mesh size, the pitches, width multiple, reference temperature,
+// sheet and sink conductances by their float bits, and the pad set.
+// Pads are keyed as a set, ascending node indices each as its gap from
+// the last, so the order of a request's pad list does not matter.
+// Strings are length-prefixed and the pad set comes last, so distinct
+// inputs cannot collide.
+func geometryKey(node string, g *powergrid.Grid, tref, sheetCond, sink float64, isPad []bool) string {
+	b := make([]byte, 0, 96+len(g.Pads))
+	for _, s := range []string{node, g.Tech.Gap.Name, g.Tech.Metal.Name} {
+		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	for _, v := range []int{g.HLevel, g.VLevel, g.Nx, g.Ny} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	for _, f := range []float64{g.PitchX, g.PitchY, g.WidthMultiple, tref, sheetCond, sink} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	last := -1
+	for i, pad := range isPad {
+		if pad {
+			b = binary.AppendUvarint(b, uint64(i-last))
+			last = i
+		}
+	}
+	return string(b)
 }
 
 func orVal(p *float64, def float64) float64 {
@@ -183,7 +218,7 @@ func finitePos(name string, v float64) error {
 // Compile validates the request and builds a Check. It allocates O(Nx·Ny)
 // at most and performs no solves.
 func Compile(p Params) (*Check, error) {
-	tech, err := resolveTech(p.Node, p.Gap, p.Metal)
+	tech, node, err := resolveTech(p.Node, p.Gap, p.Metal)
 	if err != nil {
 		return nil, err
 	}
@@ -324,8 +359,13 @@ func Compile(p Params) (*Check, error) {
 		return nil, fmt.Errorf("%w: dropLimitFrac %g (want in (0,1])", ErrInvalid, frac)
 	}
 	c.dropLimit = frac * tech.Vdd
+	c.key = geometryKey(node, g, c.tref, c.sheetCond, c.sink, isPad)
 	return c, nil
 }
+
+// Key returns the check's geometry key: two checks with one key share
+// an Operator, whatever their loads, budgets and loop controls.
+func (c *Check) Key() string { return c.key }
 
 // NumBranches returns the grid's branch (segment) count — the verdict
 // index space tiles are cut from.
@@ -376,13 +416,25 @@ func (e *NonConvergence) Error() string {
 // Unwrap ties NonConvergence into the errors.Is chain as ErrNumeric.
 func (e *NonConvergence) Unwrap() error { return mathx.ErrNumeric }
 
-// Solve runs the coupled IR-drop ↔ thermal-map fixed point. It is
-// deterministic at any mathx worker count; ctx is checked before every
-// linear solve. A fixed point that hits the MaxIter cap without
-// reaching TolK returns a *NonConvergence error (errors.As recovers
-// the partially converged field).
-func (c *Check) Solve(ctx context.Context) (*Field, error) {
-	nodal, err := c.Grid.NewNodal(c.Loads)
+// Operator is the geometry-only half of a check: the grid's nodal mesh
+// (branch topology and geometry, the conductance pattern with its slot
+// and pad tables) with the IR matrix factored at the first pass's
+// temperatures — every branch at Tref, so its values depend only on
+// geometry, metal and Tref — and the factored sheet conduction, which
+// is temperature-independent. It holds no per-solve state and is
+// read-only once built, so it is safe for concurrent use: checks that
+// share its Key may each run SolveWith on it at once, and get the bytes
+// Solve would.
+type Operator struct {
+	key   string
+	mesh  *powergrid.Mesh
+	sheet *fdm.SheetSolver
+}
+
+// NewOperator assembles, orders and factors the check's geometry-only
+// matrices.
+func (c *Check) NewOperator() (*Operator, error) {
+	mesh, err := c.Grid.NewMesh(c.tref)
 	if err != nil {
 		return nil, err
 	}
@@ -390,19 +442,37 @@ func (c *Check) Solve(ctx context.Context) (*Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	nb := nodal.NumBranches()
-	branches := nodal.Branches()
-	from := make([]int, nb)
-	to := make([]int, nb)
-	length := make([]float64, nb)
-	area := make([]float64, nb)
-	for bi := range branches {
-		b := &branches[bi]
-		from[bi] = b.From.J*c.Grid.Nx + b.From.I
-		to[bi] = b.To.J*c.Grid.Nx + b.To.I
-		_, length[bi], area[bi] = c.Grid.BranchGeometry(b)
-	}
+	return &Operator{key: c.key, mesh: mesh, sheet: sheet}, nil
+}
 
+// Bytes estimates the memory the operator holds.
+func (op *Operator) Bytes() int { return len(op.key) + op.mesh.Bytes() + op.sheet.Bytes() }
+
+// Solve runs the coupled IR-drop ↔ thermal-map fixed point on an
+// operator of its own (see SolveWith).
+func (c *Check) Solve(ctx context.Context) (*Field, error) {
+	op, err := c.NewOperator()
+	if err != nil {
+		return nil, err
+	}
+	return c.SolveWith(ctx, op)
+}
+
+// SolveWith runs the coupled IR-drop ↔ thermal-map fixed point on op,
+// an operator built by a check with c's Key. It is deterministic at any
+// mathx worker count; ctx is checked before every linear solve. A fixed
+// point that hits the MaxIter cap without reaching TolK returns a
+// *NonConvergence error (errors.As recovers the partially converged
+// field). Every slice of the field is the solve's own.
+func (c *Check) SolveWith(ctx context.Context, op *Operator) (*Field, error) {
+	if op.key != c.key {
+		return nil, fmt.Errorf("%w: operator built for another grid geometry", ErrInvalid)
+	}
+	nodal, err := op.mesh.NewNodal(c.Loads)
+	if err != nil {
+		return nil, err
+	}
+	nb := op.mesh.NumBranches()
 	n := c.Grid.Nx * c.Grid.Ny
 	temps := make([]float64, nb)
 	for i := range temps {
@@ -411,6 +481,7 @@ func (c *Check) Solve(ctx context.Context) (*Field, error) {
 	dt := make([]float64, n)
 	ndt := make([]float64, n)
 	power := make([]float64, n)
+	var scratch mathx.CGScratch // the sheet solves' work vectors
 
 	f := &Field{}
 	var sol *powergrid.Solution
@@ -430,12 +501,13 @@ func (c *Check) Solve(ctx context.Context) (*Field, error) {
 			power[i] = 0
 		}
 		for bi := 0; bi < nb; bi++ {
+			from, to, length, area := op.mesh.Branch(bi)
 			rho := c.metal.Resistivity(temps[bi])
-			p := sol.Branches[bi].Current * sol.Branches[bi].Current * rho * length[bi] / area[bi]
-			power[from[bi]] += p / 2
-			power[to[bi]] += p / 2
+			p := sol.Branches[bi].Current * sol.Branches[bi].Current * rho * length / area
+			power[from] += p / 2
+			power[to] += p / 2
 		}
-		if err := sheet.Solve(power, ndt); err != nil {
+		if err := op.sheet.SolveWith(power, ndt, &scratch); err != nil {
 			return nil, err
 		}
 		resid := 0.0
@@ -447,7 +519,8 @@ func (c *Check) Solve(ctx context.Context) (*Field, error) {
 		f.Residuals = append(f.Residuals, resid)
 		copy(dt, ndt)
 		for bi := 0; bi < nb; bi++ {
-			temps[bi] = c.tref + 0.5*(dt[from[bi]]+dt[to[bi]])
+			from, to, _, _ := op.mesh.Branch(bi)
+			temps[bi] = c.tref + 0.5*(dt[from]+dt[to])
 		}
 		if resid <= c.tol {
 			f.Converged = true
@@ -461,6 +534,7 @@ func (c *Check) Solve(ctx context.Context) (*Field, error) {
 		return nil, err
 	}
 	f.Sol = sol
+	f.Sol.Grid = c.Grid // the check's own grid, not the operator's
 	f.DT = dt
 	f.Temps = temps
 	f.Sol.HottestTm = c.tref

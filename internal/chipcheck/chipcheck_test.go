@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -395,5 +396,74 @@ func TestVerdictsLowestBranchError(t *testing.T) {
 		if !errors.Is(err, em.ErrInvalid) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("call %d: error %v, want branch %d's em.ErrInvalid", call, err, bad[0])
 		}
+	}
+}
+
+// TestSharedOperatorNonConvergence: runaway checks solved on one shared
+// operator each return a NonConvergence whose field is their own — the
+// cold solve's field, untouched by a later solve on the operator, with
+// the check's own grid.
+func TestSharedOperatorNonConvergence(t *testing.T) {
+	runaway := func(amps float64) *Check {
+		p := smallFixture()
+		p.UniformLoadA = fp(30)
+		p.Loads[0].Amps = amps
+		p.MaxIter = ip(8)
+		return mustCompile(t, p)
+	}
+	solve := func(c *Check, op *Operator) *Field {
+		t.Helper()
+		var err error
+		if op == nil {
+			_, err = c.Solve(context.Background())
+		} else {
+			_, err = c.SolveWith(context.Background(), op)
+		}
+		var nc *NonConvergence
+		if !errors.As(err, &nc) {
+			t.Fatalf("err = %v, want *NonConvergence", err)
+		}
+		return nc.Field
+	}
+	c1, c2 := runaway(0.3), runaway(0.6)
+	op, err := c1.NewOperator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1 := solve(c1, op)
+	solve(c2, op)
+	cold := solve(c1, nil)
+	drop := func(f *Field) []float64 { return slices.Concat(f.Sol.Drop...) }
+	current := func(f *Field) []float64 {
+		out := make([]float64, len(f.Sol.Branches))
+		for i, b := range f.Sol.Branches {
+			out[i] = b.Current
+		}
+		return out
+	}
+	for name, get := range map[string]func(*Field) []float64{
+		"DT": func(f *Field) []float64 { return f.DT }, "Temps": func(f *Field) []float64 { return f.Temps },
+		"Residuals": func(f *Field) []float64 { return f.Residuals }, "Drop": drop, "Current": current,
+	} {
+		if got, want := get(f1), get(cold); !slices.Equal(got, want) {
+			t.Errorf("%s of the shared-operator field differs from the cold field", name)
+		}
+	}
+	if f1.Sol.Grid != c1.Grid {
+		t.Error("the field's solution points at another check's grid")
+	}
+}
+
+// TestSolveWithOtherGeometry: an operator solves only checks with its
+// key.
+func TestSolveWithOtherGeometry(t *testing.T) {
+	op, err := mustCompile(t, smallFixture()).NewOperator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := smallFixture()
+	p.SinkWPerM2K = fp(2e4)
+	if _, err := mustCompile(t, p).SolveWith(context.Background(), op); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("err = %v, want ErrInvalid", err)
 	}
 }

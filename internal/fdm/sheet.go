@@ -17,9 +17,10 @@ import (
 // Cholesky in the sheet's short-side order under mathx.CholEntryBudget,
 // IC(0)-preconditioned CG otherwise — see mathx.SPD) and every
 // Joule-power distribution costs two O(n·bw) triangular sweeps — the
-// iteration-loop reuse the coupled fixed point leans on. A SheetSolver
-// is not safe for concurrent use: its solves share one set of work
-// vectors, so the loop's solves allocate nothing.
+// iteration-loop reuse the coupled fixed point leans on. Solve is not
+// safe for concurrent use: its solves share one set of work vectors, so
+// the loop's solves allocate nothing. SolveWith takes the caller's work
+// vectors instead, so one factored solver can serve concurrent loops.
 type SheetSolver struct {
 	nx, ny  int
 	spd     *mathx.SPD
@@ -97,14 +98,24 @@ func (s *SheetSolver) Cells() int { return s.n }
 // Direct reports whether the banded Cholesky fast path is active.
 func (s *SheetSolver) Direct() bool { return s.spd.Direct() }
 
+// Bytes estimates the memory the solver holds: its conduction matrix
+// and factor.
+func (s *SheetSolver) Bytes() int { return s.spd.Bytes() }
+
 // Solve computes the tile temperature rises (K) for the given per-tile
 // powers (W), row-major with stride nx, writing into out (power and out
 // may alias). Deterministic at any worker count.
 func (s *SheetSolver) Solve(power, out []float64) error {
+	return s.SolveWith(power, out, &s.scratch)
+}
+
+// SolveWith is Solve with the caller's work vectors; it is safe for
+// concurrent use with distinct out and scratch.
+func (s *SheetSolver) SolveWith(power, out []float64, scratch *mathx.CGScratch) error {
 	if len(power) != s.n || len(out) != s.n {
 		return fmt.Errorf("%w: got %d powers and %d outputs for %d cells", ErrInvalid, len(power), len(out), s.n)
 	}
-	if err := s.spd.Solve(power, out, &s.scratch); err != nil {
+	if err := s.spd.Solve(power, out, scratch); err != nil {
 		return fmt.Errorf("fdm: sheet conduction: %w", err)
 	}
 	return nil

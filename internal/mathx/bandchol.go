@@ -133,6 +133,9 @@ func factorBand(a *CSR, bw int, perm, iperm []int) (*BandCholesky, error) {
 	return &BandCholesky{n: n, bw: bw, perm: perm, first: first, l: l}, nil
 }
 
+// Bytes returns the memory the factor holds.
+func (c *BandCholesky) Bytes() int { return 8 * (len(c.l) + len(c.first) + len(c.perm)) }
+
 // Bandwidth returns the factored (half-)bandwidth, in elimination order.
 func (c *BandCholesky) Bandwidth() int { return c.bw }
 

@@ -37,6 +37,9 @@ type CSR struct {
 	Val    []float64
 }
 
+// Bytes returns the memory the matrix's arrays hold.
+func (a *CSR) Bytes() int { return 8 * (len(a.RowPtr) + len(a.ColIdx) + len(a.Val)) }
+
 // ToCSR converts the accumulated triplets to CSR, summing duplicates.
 func (c *Coord) ToCSR() *CSR {
 	order := make([]int, len(c.is))

@@ -73,6 +73,27 @@ func NewSPD(a *CSR, maxBand int) *SPD {
 	return s
 }
 
+// NewSPDFactored prepares the ladder for a, whose values must already
+// be stamped, from chol, a banded factor of exactly those values (nil:
+// no factor rung). chol may be shared by many SPDs, over matrices that
+// each started from those values: an SPD only reads it, and a stale
+// factor's rebuild writes a new one.
+func NewSPDFactored(a *CSR, chol *BandCholesky) *SPD {
+	return &SPD{a: a, chol: chol, cholFresh: true}
+}
+
+// Bytes estimates the memory the ladder holds: the matrix and its
+// banded factor (an IC(0) factor, built only when a CG rung needs one,
+// is not counted).
+func (s *SPD) Bytes() int {
+	chol, _ := s.factor()
+	n := s.a.Bytes()
+	if chol != nil {
+		n += chol.Bytes()
+	}
+	return n
+}
+
 // Direct reports whether the banded factor rung is available.
 func (s *SPD) Direct() bool {
 	s.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dsmtherm/internal/faultinject"
@@ -367,5 +368,52 @@ func TestLadderConcurrentSolves(t *testing.T) {
 		if !bitEqual(x, want) {
 			t.Fatalf("concurrent solve %d differs from the serial solve", i)
 		}
+	}
+}
+
+// TestLadderSharedFactorUntouchedByRebuild: an SPD that starts from a
+// shared factor of its values solves as one that factored them itself,
+// and a restamp large enough to force the stale-factor rebuild writes
+// a new factor: the shared one keeps its bytes.
+func TestLadderSharedFactorUntouchedByRebuild(t *testing.T) {
+	a := laplacian2D(48, 32)
+	shared, err := NewBandCholesky(a, CholEntryBudget/a.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, first := append([]float64(nil), shared.l...), append([]int(nil), shared.first...)
+	values := func() *CSR { // a session's matrix: the pattern, its own values
+		c := *a
+		c.Val = append([]float64(nil), a.Val...)
+		return &c
+	}
+	a1 := values()
+	s := NewSPDFactored(a1, shared)
+	b := randVec(rand.New(rand.NewSource(11)), a.N)
+	x, want := make([]float64, a.N), make([]float64, a.N)
+	if err := s.Solve(b, x, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSPD(values(), CholEntryBudget/a.N).Solve(b, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bitEqual(x, want) {
+		t.Fatal("the shared factor's solve differs from a private factor's")
+	}
+	scaleEdges(a1, func(i, j int) float64 {
+		if i%48 < 16 && j%48 < 16 {
+			return 10
+		}
+		return 1
+	})
+	s.Refactor()
+	if err := s.Solve(b, x, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, fresh := staleState(s); got == shared || !fresh {
+		t.Fatalf("the restamp did not rebuild (rebuilt %t, fresh %t)", got != shared, fresh)
+	}
+	if !bitEqual(shared.l, l) || !slices.Equal(shared.first, first) {
+		t.Fatal("the rebuild wrote the shared factor")
 	}
 }

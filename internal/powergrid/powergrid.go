@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"dsmtherm/internal/core"
 	"dsmtherm/internal/mathx"
@@ -164,7 +165,7 @@ func (g *Grid) SolveCtx(ctx context.Context, loads []Load, opts SolveOpts) (*Sol
 		return nil, err
 	}
 
-	temps := make([]float64, len(nodal.branches))
+	temps := make([]float64, nodal.NumBranches())
 	for i := range temps {
 		temps[i] = opts.Tref
 	}
@@ -186,8 +187,8 @@ func (g *Grid) SolveCtx(ctx context.Context, loads []Load, opts SolveOpts) (*Sol
 		}
 		// Update strap temperatures from their own Joule heating.
 		changed := false
-		for i := range nodal.branches {
-			tm, err := g.branchTemperature(&nodal.branches[i], sol.Branches[i].J, opts.Tref)
+		for i := range temps {
+			tm, err := g.branchTemperature(&sol.Branches[i], sol.Branches[i].J, opts.Tref)
 			if err != nil {
 				return nil, err
 			}
@@ -281,13 +282,199 @@ func (g *Grid) branchTemperature(b *Branch, j, tref float64) (float64, error) {
 	return tm, nil
 }
 
-// Nodal is a reusable nodal-analysis session over one (grid, loads)
-// pair. The mesh topology, per-branch geometry, pad set and load
-// injections are computed once at construction. The first Solve factors
-// the stamped conductance matrix (banded Cholesky in its short-side
-// order, when the band fits mathx.CholEntryBudget) and solves directly;
-// each later Solve only restamps the temperature-dependent conductances
-// and runs CG preconditioned by that first factor, warm-started from the
+// Mesh is the geometry-only half of nodal analysis on one grid: the
+// branch topology with each branch's length and cross-section, the
+// conductance matrix's sparsity pattern with the slot tables a stamp
+// writes through, and optionally the banded factor of that matrix
+// stamped with every branch at one reference temperature. A Mesh is
+// read-only once built, so any number of Nodal sessions may run on one
+// concurrently.
+type Mesh struct {
+	g        *Grid
+	branches []Branch
+	isPad    []bool
+	// length/area cache branchGeometry per branch.
+	length, area []float64
+	// The sparsity pattern is fixed by the topology — only the
+	// conductance values are temperature-dependent — so a session's
+	// matrix shares rowPtr and colIdx and restamps its own values in
+	// place through precomputed slots. This keeps the electrothermal
+	// loop's per-pass allocation near zero (no COO triplets, no assembly
+	// sort, no CSR or preconditioner rebuild), which matters for latency
+	// as much as throughput: assembly garbage was the dominant GC trigger
+	// during coupled solves.
+	rowPtr, colIdx []int
+	slots          [][4]int // value slots per branch: (f,f),(f,t),(t,t),(t,f); -1 absent
+	padSlots       []int    // diagonal slots of pad rows (identity stamp)
+	// With factored set, chol is the factor of the matrix stamped with
+	// every branch at tref (nil when that matrix has no factor rung:
+	// band over budget or a lost pivot).
+	factored bool
+	tref     float64
+	chol     *mathx.BandCholesky
+}
+
+// newMesh validates the grid and builds its topology and pattern.
+func (g *Grid) newMesh() (*Mesh, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	n := g.Nx * g.Ny
+	m := &Mesh{g: g, branches: g.branches(), isPad: make([]bool, n)}
+	for _, p := range g.Pads {
+		m.isPad[g.nodeIndex(p)] = true
+	}
+	m.length = make([]float64, len(m.branches))
+	m.area = make([]float64, len(m.branches))
+	for bi := range m.branches {
+		_, m.length[bi], m.area[bi] = g.branchGeometry(&m.branches[bi])
+	}
+	// The sparsity pattern is the 5-point mesh stencil with pad rows and
+	// columns reduced to the diagonal (exactly what a stamp emits), so
+	// the CSR is built directly in ascending-column order — no COO
+	// triplets and no assembly sort.
+	a := &mathx.CSR{N: n, RowPtr: make([]int, n+1)}
+	cols := make([]int, 0, 5*n)
+	for j := 0; j < g.Ny; j++ {
+		for i := 0; i < g.Nx; i++ {
+			idx := j*g.Nx + i
+			if m.isPad[idx] {
+				cols = append(cols, idx)
+				a.RowPtr[idx+1] = len(cols)
+				continue
+			}
+			if j > 0 && !m.isPad[idx-g.Nx] {
+				cols = append(cols, idx-g.Nx)
+			}
+			if i > 0 && !m.isPad[idx-1] {
+				cols = append(cols, idx-1)
+			}
+			cols = append(cols, idx)
+			if i+1 < g.Nx && !m.isPad[idx+1] {
+				cols = append(cols, idx+1)
+			}
+			if j+1 < g.Ny && !m.isPad[idx+g.Nx] {
+				cols = append(cols, idx+g.Nx)
+			}
+			a.RowPtr[idx+1] = len(cols)
+		}
+	}
+	a.ColIdx = cols
+	m.rowPtr, m.colIdx = a.RowPtr, a.ColIdx
+	m.slots = make([][4]int, len(m.branches))
+	for bi := range m.branches {
+		b := &m.branches[bi]
+		f, t := g.nodeIndex(b.From), g.nodeIndex(b.To)
+		s := [4]int{-1, -1, -1, -1}
+		if !m.isPad[f] {
+			s[0] = a.Slot(f, f)
+			if !m.isPad[t] {
+				s[1] = a.Slot(f, t)
+			}
+		}
+		if !m.isPad[t] {
+			s[2] = a.Slot(t, t)
+			if !m.isPad[f] {
+				s[3] = a.Slot(t, f)
+			}
+		}
+		m.slots[bi] = s
+	}
+	for i := 0; i < n; i++ {
+		if m.isPad[i] {
+			m.padSlots = append(m.padSlots, a.Slot(i, i))
+		}
+	}
+	return m, nil
+}
+
+// NewMesh builds the grid's mesh and factors its conductance matrix
+// with every branch at tref (K): a session whose first solve is at tref
+// starts from that shared factor instead of factoring its own, and
+// reaches the same bits.
+func (g *Grid) NewMesh(tref float64) (*Mesh, error) {
+	m, err := g.newMesh()
+	if err != nil {
+		return nil, err
+	}
+	temps := make([]float64, len(m.branches))
+	for i := range temps {
+		temps[i] = tref
+	}
+	a := m.matrix()
+	m.stamp(a.Val, make([]float64, len(m.branches)), temps)
+	m.chol, _ = mathx.NewBandCholesky(a, mathx.CholEntryBudget/a.N)
+	m.factored, m.tref = true, tref
+	return m, nil
+}
+
+// NumBranches returns the branch count.
+func (m *Mesh) NumBranches() int { return len(m.branches) }
+
+// Branch returns branch bi's end nodes as row-major indices (stride
+// Nx), and its length (m) and cross-section area (m²).
+func (m *Mesh) Branch(bi int) (from, to int, length, area float64) {
+	b := &m.branches[bi]
+	return m.g.nodeIndex(b.From), m.g.nodeIndex(b.To), m.length[bi], m.area[bi]
+}
+
+// Bytes estimates the memory the mesh holds, shared factor included.
+func (m *Mesh) Bytes() int {
+	const word = 8
+	n := int(unsafe.Sizeof(Branch{}))*len(m.branches) + len(m.isPad) +
+		word*(len(m.length)+len(m.area)+len(m.rowPtr)+len(m.colIdx)+4*len(m.slots)+len(m.padSlots))
+	if m.chol != nil {
+		n += m.chol.Bytes()
+	}
+	return n
+}
+
+// matrix returns a CSR on the mesh's pattern with zeroed values of its
+// own.
+func (m *Mesh) matrix() *mathx.CSR {
+	return &mathx.CSR{N: len(m.isPad), RowPtr: m.rowPtr, ColIdx: m.colIdx, Val: make([]float64, len(m.colIdx))}
+}
+
+// stamp writes the conductance matrix at the per-branch temperatures
+// into val, and each branch's conductance into conds. Branch order is
+// fixed, so the stamped values — and every downstream result — are
+// bit-identical run to run.
+func (m *Mesh) stamp(val, conds, temps []float64) {
+	clear(val)
+	metal := m.g.Tech.Metal
+	for bi := range m.branches {
+		rho := metal.Resistivity(temps[bi])
+		gcond := m.area[bi] / (rho * m.length[bi])
+		conds[bi] = gcond
+		s := &m.slots[bi]
+		if s[0] >= 0 {
+			val[s[0]] += gcond
+		}
+		if s[1] >= 0 {
+			val[s[1]] -= gcond
+		}
+		if s[2] >= 0 {
+			val[s[2]] += gcond
+		}
+		if s[3] >= 0 {
+			val[s[3]] -= gcond
+		}
+	}
+	// Pad rows: identity (drop = 0).
+	for _, k := range m.padSlots {
+		val[k] = 1
+	}
+}
+
+// Nodal is a reusable nodal-analysis session over one (mesh, loads)
+// pair: the mesh's shared geometry plus the per-solve state — the
+// conductance values, the load injections, the warm start and the CG
+// scratch. The first Solve factors the stamped conductance matrix
+// (banded Cholesky in its short-side order, when the band fits
+// mathx.CholEntryBudget), or starts from the mesh's shared factor when
+// it is at the mesh's reference temperature, and solves directly; each
+// later Solve only restamps the temperature-dependent conductances and
+// runs CG preconditioned by that first factor, warm-started from the
 // previous call's drop vector (see mathx.SPD). That makes an external
 // electrothermal loop — the grid's own Solve, or a chip-level coupled
 // checker driving branch temperatures from a shared thermal map — pay
@@ -295,26 +482,11 @@ func (g *Grid) branchTemperature(b *Branch, j, tref float64) (float64, error) {
 // (the kernels are bit-identical at any worker count) but a Nodal is
 // not safe for concurrent use.
 type Nodal struct {
-	g        *Grid
-	branches []Branch
-	isPad    []bool
-	// area/length/level cache branchGeometry per branch.
-	level        []int
-	length, area []float64
-	rhsBase      []float64 // load injections, temperature-independent
-	x            []float64 // warm-start drop vector
-	// Assembly reuse: the matrix pattern is fixed by the topology — only
-	// the conductance values are temperature-dependent — so the CSR is
-	// built once at construction and every Solve restamps Val in place
-	// through precomputed slots. This keeps the electrothermal loop's
-	// per-pass allocation near zero (no COO triplets, no assembly sort,
-	// no CSR or preconditioner rebuild), which matters for latency as
-	// much as throughput: assembly garbage was the dominant GC trigger
-	// during coupled solves.
-	a        *mathx.CSR
-	slots    [][4]int // Val slots per branch: (f,f),(f,t),(t,t),(t,f); -1 absent
-	padSlots []int    // diagonal slots of pad rows (identity stamp)
-	conds    []float64
+	m       *Mesh
+	rhsBase []float64 // load injections, temperature-independent
+	x       []float64 // warm-start drop vector
+	a       *mathx.CSR
+	conds   []float64
 	// spd is the solve ladder over a, built by the first Solve on
 	// stamped values (a holds zeros until then) and marked stale by
 	// every later restamp.
@@ -322,11 +494,19 @@ type Nodal struct {
 	cg  mathx.CGScratch
 }
 
-// NewNodal validates the grid and loads and builds a session.
+// NewNodal validates the grid and loads and builds a session on a mesh
+// of its own.
 func (g *Grid) NewNodal(loads []Load) (*Nodal, error) {
-	if err := g.Validate(); err != nil {
+	m, err := g.newMesh()
+	if err != nil {
 		return nil, err
 	}
+	return m.NewNodal(loads)
+}
+
+// NewNodal validates the loads and starts a session on the mesh.
+func (m *Mesh) NewNodal(loads []Load) (*Nodal, error) {
+	g := m.g
 	for _, l := range loads {
 		if !g.inRange(l.Node) {
 			return nil, fmt.Errorf("%w: load %v outside mesh", ErrInvalid, l.Node)
@@ -335,95 +515,27 @@ func (g *Grid) NewNodal(loads []Load) (*Nodal, error) {
 			return nil, fmt.Errorf("%w: load %g A at %v", ErrInvalid, l.Current, l.Node)
 		}
 	}
-	n := g.Nx * g.Ny
-	nd := &Nodal{g: g, branches: g.branches(), isPad: make([]bool, n),
-		rhsBase: make([]float64, n), x: make([]float64, n)}
-	for _, p := range g.Pads {
-		nd.isPad[g.nodeIndex(p)] = true
-	}
-	nd.level = make([]int, len(nd.branches))
-	nd.length = make([]float64, len(nd.branches))
-	nd.area = make([]float64, len(nd.branches))
-	for bi := range nd.branches {
-		nd.level[bi], nd.length[bi], nd.area[bi] = g.branchGeometry(&nd.branches[bi])
-	}
+	n := len(m.isPad)
+	nd := &Nodal{m: m, rhsBase: make([]float64, n), x: make([]float64, n),
+		a: m.matrix(), conds: make([]float64, len(m.branches))}
 	// Loads: current drawn out of the node (drop formulation: I enters
 	// the drop network). Pad-sited loads draw straight from the supply.
 	for _, l := range loads {
-		if idx := g.nodeIndex(l.Node); !nd.isPad[idx] {
+		if idx := g.nodeIndex(l.Node); !m.isPad[idx] {
 			nd.rhsBase[idx] += l.Current
 		}
 	}
-	// The sparsity pattern is the 5-point mesh stencil with pad rows and
-	// columns reduced to the diagonal (exactly what stampBranch emits),
-	// so the CSR is built directly in ascending-column order — no COO
-	// triplets and no assembly sort. Solve restamps the values through
-	// the slot tables below.
-	a := &mathx.CSR{N: n, RowPtr: make([]int, n+1)}
-	cols := make([]int, 0, 5*n)
-	for j := 0; j < g.Ny; j++ {
-		for i := 0; i < g.Nx; i++ {
-			idx := j*g.Nx + i
-			if nd.isPad[idx] {
-				cols = append(cols, idx)
-				a.RowPtr[idx+1] = len(cols)
-				continue
-			}
-			if j > 0 && !nd.isPad[idx-g.Nx] {
-				cols = append(cols, idx-g.Nx)
-			}
-			if i > 0 && !nd.isPad[idx-1] {
-				cols = append(cols, idx-1)
-			}
-			cols = append(cols, idx)
-			if i+1 < g.Nx && !nd.isPad[idx+1] {
-				cols = append(cols, idx+1)
-			}
-			if j+1 < g.Ny && !nd.isPad[idx+g.Nx] {
-				cols = append(cols, idx+g.Nx)
-			}
-			a.RowPtr[idx+1] = len(cols)
-		}
-	}
-	a.ColIdx = cols
-	a.Val = make([]float64, len(cols))
-	nd.a = a
-	nd.slots = make([][4]int, len(nd.branches))
-	for bi := range nd.branches {
-		b := &nd.branches[bi]
-		f, t := g.nodeIndex(b.From), g.nodeIndex(b.To)
-		s := [4]int{-1, -1, -1, -1}
-		if !nd.isPad[f] {
-			s[0] = nd.a.Slot(f, f)
-			if !nd.isPad[t] {
-				s[1] = nd.a.Slot(f, t)
-			}
-		}
-		if !nd.isPad[t] {
-			s[2] = nd.a.Slot(t, t)
-			if !nd.isPad[f] {
-				s[3] = nd.a.Slot(t, f)
-			}
-		}
-		nd.slots[bi] = s
-	}
-	for i := 0; i < n; i++ {
-		if nd.isPad[i] {
-			nd.padSlots = append(nd.padSlots, nd.a.Slot(i, i))
-		}
-	}
-	nd.conds = make([]float64, len(nd.branches))
 	return nd, nil
 }
 
 // NumBranches returns the branch count (the length of every temps
 // vector Solve accepts).
-func (nd *Nodal) NumBranches() int { return len(nd.branches) }
+func (nd *Nodal) NumBranches() int { return len(nd.m.branches) }
 
 // Branches returns a copy of the session's branch topology.
 func (nd *Nodal) Branches() []Branch {
-	out := make([]Branch, len(nd.branches))
-	copy(out, nd.branches)
+	out := make([]Branch, len(nd.m.branches))
+	copy(out, nd.m.branches)
 	return out
 }
 
@@ -441,46 +553,24 @@ func (nd *Nodal) Solve(ctx context.Context, temps []float64) (*Solution, error) 
 // identical either way. The reused Solution must no longer be read by
 // the caller; it is overwritten in place.
 func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution) (*Solution, error) {
-	if len(temps) != len(nd.branches) {
-		return nil, fmt.Errorf("%w: %d temperatures for %d branches", ErrInvalid, len(temps), len(nd.branches))
+	m := nd.m
+	if len(temps) != len(m.branches) {
+		return nil, fmt.Errorf("%w: %d temperatures for %d branches", ErrInvalid, len(temps), len(m.branches))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g := nd.g
+	g := m.g
 	a, conds := nd.a, nd.conds
-	// Restamp the temperature-dependent conductances into the cached
-	// pattern. Branch order is fixed, so the stamped values — and every
-	// downstream result — are bit-identical run to run.
-	for i := range a.Val {
-		a.Val[i] = 0
-	}
-	for bi := range nd.branches {
-		rho := g.Tech.Metal.Resistivity(temps[bi])
-		gcond := nd.area[bi] / (rho * nd.length[bi])
-		conds[bi] = gcond
-		s := &nd.slots[bi]
-		if s[0] >= 0 {
-			a.Val[s[0]] += gcond
-		}
-		if s[1] >= 0 {
-			a.Val[s[1]] -= gcond
-		}
-		if s[2] >= 0 {
-			a.Val[s[2]] += gcond
-		}
-		if s[3] >= 0 {
-			a.Val[s[3]] -= gcond
-		}
-	}
-	// Pad rows: identity (drop = 0).
-	for _, k := range nd.padSlots {
-		a.Val[k] = 1
-	}
-	if nd.spd == nil {
-		nd.spd = mathx.NewSPD(a, mathx.CholEntryBudget/a.N)
-	} else {
+	m.stamp(a.Val, conds, temps)
+	switch {
+	case nd.spd != nil:
 		nd.spd.Refactor()
+	case m.factored && allAt(temps, m.tref):
+		// These values are the ones the mesh factored.
+		nd.spd = mathx.NewSPDFactored(a, m.chol)
+	default:
+		nd.spd = mathx.NewSPD(a, mathx.CholEntryBudget/a.N)
 	}
 	if err := nd.spd.Solve(nd.rhsBase, nd.x, &nd.cg); err != nil {
 		return nil, fmt.Errorf("powergrid: IR drop: %w", err)
@@ -488,9 +578,9 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 	x := nd.x
 
 	sol := reuse
-	if sol == nil || len(sol.Branches) != len(nd.branches) ||
+	if sol == nil || len(sol.Branches) != len(m.branches) ||
 		len(sol.Drop) != g.Ny || len(sol.Drop[0]) != g.Nx {
-		sol = &Solution{Grid: g, Drop: make([][]float64, g.Ny), Branches: make([]Branch, len(nd.branches))}
+		sol = &Solution{Grid: g, Drop: make([][]float64, g.Ny), Branches: make([]Branch, len(m.branches))}
 		rows := make([]float64, g.Ny*g.Nx)
 		for j := 0; j < g.Ny; j++ {
 			sol.Drop[j] = rows[j*g.Nx : (j+1)*g.Nx : (j+1)*g.Nx]
@@ -508,13 +598,13 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 			}
 		}
 	}
-	for bi := range nd.branches {
-		b := nd.branches[bi]
+	for bi := range m.branches {
+		b := m.branches[bi]
 		f, t := g.nodeIndex(b.From), g.nodeIndex(b.To)
 		// Current flows from lower drop to higher drop within the drop
 		// network; in the physical grid it flows toward the loads.
 		b.Current = conds[bi] * (x[t] - x[f])
-		b.J = math.Abs(b.Current) / nd.area[bi]
+		b.J = math.Abs(b.Current) / m.area[bi]
 		b.Tm = temps[bi]
 		if b.J > sol.MaxJ {
 			sol.MaxJ = b.J
@@ -522,6 +612,16 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 		sol.Branches[bi] = b
 	}
 	return sol, nil
+}
+
+// allAt reports whether every temperature is exactly t.
+func allAt(temps []float64, t float64) bool {
+	for _, v := range temps {
+		if v != t {
+			return false
+		}
+	}
+	return true
 }
 
 // TotalLoad sums the sink currents.

@@ -43,6 +43,12 @@ type Metrics struct {
 	Chipchecks   atomic.Uint64
 	ChipSegments atomic.Uint64
 
+	// The /v1/chipcheck operator store: requests answered on a kept
+	// operator, operators built, and the bytes the store retains.
+	ChipOperatorHits   atomic.Uint64
+	ChipOperatorBuilds atomic.Uint64
+	ChipOperatorBytes  atomic.Int64
+
 	// Synchronous /v1/lifetime traffic: requests served and Monte
 	// Carlo samples drawn (job runs are accounted in the jobs section).
 	Lifetimes       atomic.Uint64
@@ -232,10 +238,14 @@ type netcheckSnapshot struct {
 }
 
 // chipcheckSnapshot reports the synchronous /v1/chipcheck traffic (job
-// runs are accounted in the jobs section).
+// runs are accounted in the jobs section) and its operator store: hits,
+// builds and the bytes retained.
 type chipcheckSnapshot struct {
-	Checks   uint64 `json:"checks"`
-	Segments uint64 `json:"segments"`
+	Checks         uint64 `json:"checks"`
+	Segments       uint64 `json:"segments"`
+	OperatorHits   uint64 `json:"operatorHits"`
+	OperatorBuilds uint64 `json:"operatorBuilds"`
+	OperatorBytes  int64  `json:"operatorBytes"`
 }
 
 // lifetimeSnapshot reports the synchronous /v1/lifetime traffic (job
@@ -292,7 +302,13 @@ func (m *Metrics) SnapshotNow(cache *Cache, pool *Pool, adm *Admission, flights 
 		s.Solver.AvgSolveUs = float64(m.SolveNanos.Load()) / float64(n) / 1e3
 	}
 	s.Netcheck = netcheckSnapshot{SegmentsChecked: m.SegsChecked.Load()}
-	s.Chipcheck = chipcheckSnapshot{Checks: m.Chipchecks.Load(), Segments: m.ChipSegments.Load()}
+	s.Chipcheck = chipcheckSnapshot{
+		Checks:         m.Chipchecks.Load(),
+		Segments:       m.ChipSegments.Load(),
+		OperatorHits:   m.ChipOperatorHits.Load(),
+		OperatorBuilds: m.ChipOperatorBuilds.Load(),
+		OperatorBytes:  m.ChipOperatorBytes.Load(),
+	}
 	s.Lifetime = lifetimeSnapshot{Requests: m.Lifetimes.Load(), Samples: m.LifetimeSamples.Load()}
 	if pool != nil {
 		s.Pool = poolSnapshot{Size: pool.Size(), InUse: pool.InUse()}

@@ -250,6 +250,7 @@ type Server struct {
 	breaker    *Breaker
 	jobs       *jobs.Manager
 	flights    flightGroup
+	operators  *operatorStore
 	mux        *http.ServeMux
 
 	// draining is raised before the HTTP listener starts closing so new
@@ -293,6 +294,7 @@ func New(cfg Config) *Server {
 	// double-counted.
 	s.pool.panics = &s.metrics.Panics
 	s.flights.panics = &s.metrics.Panics
+	s.operators = newOperatorStore(chipOperatorBudget, s.metrics)
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/rules", s.handleRules, gated)
 	s.route("POST /v1/sweep", s.handleSweep, gated)
