@@ -532,13 +532,6 @@ func (m *Mesh) NewNodal(loads []Load) (*Nodal, error) {
 // vector Solve accepts).
 func (nd *Nodal) NumBranches() int { return len(nd.m.branches) }
 
-// Branches returns a copy of the session's branch topology.
-func (nd *Nodal) Branches() []Branch {
-	out := make([]Branch, len(nd.m.branches))
-	copy(out, nd.m.branches)
-	return out
-}
-
 // Solve performs one nodal-analysis pass with the given per-branch
 // temperatures (len must equal NumBranches). Successive calls
 // warm-start from the previous solution.

@@ -136,3 +136,13 @@ func (st *operatorStore) put(key string, op *chipcheck.Operator) {
 	st.bytes += n
 	st.m.ChipOperatorBytes.Store(int64(st.bytes))
 }
+
+// drop releases every kept operator.
+func (st *operatorStore) drop() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.lru.Init()
+	clear(st.byKey)
+	st.bytes = 0
+	st.m.ChipOperatorBytes.Store(0)
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -269,5 +270,38 @@ func TestOperatorStoreLRU(t *testing.T) {
 	}
 	if b, h := m.ChipOperatorBuilds.Load(), m.ChipOperatorHits.Load(); b != 3 || h != 1 {
 		t.Fatalf("%d builds and %d hits, want 3 and 1", b, h)
+	}
+}
+
+// TestRunReleasesOperators: once Run has drained, the server keeps no
+// operator, though the Server value stays reachable.
+func TestRunReleasesOperators(t *testing.T) {
+	s := New(Config{Workers: 2})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- s.Run(ctx, ln) }()
+	body, err := json.Marshal(chipParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/chipcheck", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || s.metrics.ChipOperatorBytes.Load() == 0 {
+		t.Fatalf("status %d, %d operator bytes kept", resp.StatusCode, s.metrics.ChipOperatorBytes.Load())
+	}
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n, b := len(s.operators.byKey), s.metrics.ChipOperatorBytes.Load(); n != 0 || b != 0 {
+		t.Fatalf("a stopped server keeps %d operators (%d bytes)", n, b)
 	}
 }

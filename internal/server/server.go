@@ -450,6 +450,10 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 		return err
 	}
 	<-errc // http.ErrServerClosed
+	// Nothing serves from the kept chipcheck operators after the drain,
+	// so a stopped Server pins none of them, however long it stays
+	// reachable.
+	s.operators.drop()
 	if s.cfg.SnapshotPath != "" {
 		// Final save after the drain, so the snapshot captures the full
 		// working set including results from the last in-flight wave. A
@@ -480,7 +484,6 @@ func (s *Server) snapshotLoop(ctx context.Context) {
 // Draining reports whether the server has entered its shutdown drain.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// resolveTech maps request-level technology selectors to a Technology.
 // techNodes maps every node name the API accepts to its technology's
 // constructor and level count, so a query can be validated and keyed
 // without building a technology.
@@ -512,6 +515,7 @@ func nodeLevels(node string) (int, bool) {
 	return n.levels, ok
 }
 
+// resolveTech maps request-level technology selectors to a Technology.
 func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
 	n, ok := techNodes[node]
 	if !ok {
