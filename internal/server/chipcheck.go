@@ -68,8 +68,8 @@ func (s *Server) handleChipcheck(w http.ResponseWriter, r *http.Request) {
 }
 
 // chipOperatorBudget bounds the bytes of the chipcheck operators the
-// server keeps: about twelve 48×32 grids, or three at the default
-// synchronous cap of 4096 nodes.
+// server keeps: eleven 48×32 pad-ring grids (1.37 MB each), or two
+// 64×64 ones at the default synchronous cap of 4096 nodes (5.7 MB).
 const chipOperatorBudget = 16 << 20
 
 // operatorStore keeps the chipcheck operators of recently checked grid
