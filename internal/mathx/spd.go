@@ -74,10 +74,10 @@ func NewSPD(a *CSR, maxBand int) *SPD {
 }
 
 // NewSPDFactored prepares the ladder for a, whose values must already
-// be stamped, from chol, a banded factor of exactly those values (nil:
-// no factor rung). chol may be shared by many SPDs, over matrices that
-// each started from those values: an SPD only reads it, and a stale
-// factor's rebuild writes a new one.
+// be stamped, from chol, a banded factor of exactly those values. chol
+// may be shared by many SPDs, over matrices that each started from
+// those values: an SPD only reads it, and a stale factor's rebuild
+// writes a new one.
 func NewSPDFactored(a *CSR, chol *BandCholesky) *SPD {
 	return &SPD{a: a, chol: chol, cholFresh: true}
 }

@@ -306,12 +306,10 @@ type Mesh struct {
 	rowPtr, colIdx []int
 	slots          [][4]int // value slots per branch: (f,f),(f,t),(t,t),(t,f); -1 absent
 	padSlots       []int    // diagonal slots of pad rows (identity stamp)
-	// With factored set, chol is the factor of the matrix stamped with
-	// every branch at tref (nil when that matrix has no factor rung:
-	// band over budget or a lost pivot).
-	factored bool
-	tref     float64
-	chol     *mathx.BandCholesky
+	// chol, when set, is the factor of the matrix stamped with every
+	// branch at tref.
+	tref float64
+	chol *mathx.BandCholesky
 }
 
 // newMesh validates the grid and builds its topology and pattern.
@@ -403,8 +401,10 @@ func (g *Grid) NewMesh(tref float64) (*Mesh, error) {
 	}
 	a := m.matrix()
 	m.stamp(a.Val, make([]float64, len(m.branches)), temps)
+	// A band over budget or a lost pivot leaves chol nil, and each
+	// session then finds the same on its own first pass.
 	m.chol, _ = mathx.NewBandCholesky(a, mathx.CholEntryBudget/a.N)
-	m.factored, m.tref = true, tref
+	m.tref = tref
 	return m, nil
 }
 
@@ -559,7 +559,7 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 	switch {
 	case nd.spd != nil:
 		nd.spd.Refactor()
-	case m.factored && allAt(temps, m.tref):
+	case m.chol != nil && allAt(temps, m.tref):
 		// These values are the ones the mesh factored.
 		nd.spd = mathx.NewSPDFactored(a, m.chol)
 	default:

@@ -195,8 +195,8 @@ func (s *Server) prepareRules(p rulesParams) (*rulesWork, error) {
 // length tech.Line accepts. A false answer may be conservative; the
 // caller then asks line itself.
 func (p rulesParams) lineValid() bool {
-	levels, ok := nodeLevels(p.Node)
-	if !ok || p.Level < 1 || p.Level > levels || phys.Microns(p.LengthUm) <= 0 {
+	n, ok := techNodes[p.Node]
+	if !ok || p.Level < 1 || p.Level > n.levels || phys.Microns(p.LengthUm) <= 0 {
 		return false
 	}
 	if p.Gap != "" {

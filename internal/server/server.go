@@ -509,12 +509,6 @@ type techNode struct {
 	levels int
 }
 
-// nodeLevels returns the level count of an accepted node name.
-func nodeLevels(node string) (int, bool) {
-	n, ok := techNodes[node]
-	return n.levels, ok
-}
-
 // resolveTech maps request-level technology selectors to a Technology.
 func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
 	n, ok := techNodes[node]
