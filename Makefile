@@ -37,7 +37,7 @@ race:
 # the numeric fallback ladder and the CG health guards.
 chaos:
 	$(GO) test -race -count=1 ./internal/server \
-		-run 'TestChaos|TestPoolTaskPanic|TestFlightLeaderPanic|TestHandlerPanic|TestQuarantine|TestBreaker|TestFailureClass|TestSnapshot|TestQueueWaitClamp|TestAdmissionWaitClamped|TestReadyz|TestJobs'
+		-run 'TestChaos|TestPoolTaskPanic|TestFlightLeaderPanic|TestFlightLeaderRechecksCache|TestHandlerPanic|TestQuarantine|TestBreaker|TestFailureClass|TestSnapshot|TestQueueWaitClamp|TestAdmissionWaitClamped|TestReadyz|TestJobs'
 	$(GO) test -race -count=1 ./internal/jobs/...
 	$(GO) test -race -count=1 ./internal/fdm ./internal/powergrid ./internal/mathx \
 		-run 'TestSolverLadder|TestSheetLadder|TestIRDropFallback|TestLadder|TestCG|TestBandCholesky'

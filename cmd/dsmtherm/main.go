@@ -75,32 +75,16 @@ func usage() {
 run "dsmtherm <subcommand> -h" for per-command flags`)
 }
 
-func nodeByName(name string) (*ntrs.Technology, error) {
-	switch name {
-	case "0.25", "250", "n250":
-		return ntrs.N250(), nil
-	case "0.10", "0.1", "100", "n100":
-		return ntrs.N100(), nil
+// selectTech is ntrs.Select with this command's own n250 and n100
+// spellings of the two nodes.
+func selectTech(node, gap, metal string) (*ntrs.Technology, error) {
+	switch node {
+	case "n250":
+		node = "0.25"
+	case "n100":
+		node = "0.10"
 	}
-	return nil, fmt.Errorf("unknown node %q (want 0.25 or 0.10)", name)
-}
-
-func applyMaterials(tech *ntrs.Technology, gap, metal string) (*ntrs.Technology, error) {
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return nil, err
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if metal != "" {
-		m, err := material.MetalByName(metal)
-		if err != nil {
-			return nil, err
-		}
-		tech = tech.WithMetal(m)
-	}
-	return tech, nil
+	return ntrs.Select(node, gap, metal)
 }
 
 func cmdRules(args []string) error {
@@ -114,11 +98,7 @@ func cmdRules(args []string) error {
 	useFDM := fs.Bool("fdm", false, "use the FDM-solved thermal impedance instead of the Weff model")
 	fs.Parse(args)
 
-	tech, err := nodeByName(*node)
-	if err != nil {
-		return err
-	}
-	tech, err = applyMaterials(tech, *gap, *metal)
+	tech, err := selectTech(*node, *gap, *metal)
 	if err != nil {
 		return err
 	}
@@ -155,11 +135,7 @@ func cmdSweep(args []string) error {
 	gap := fs.String("gap", "", "gap-fill dielectric")
 	fs.Parse(args)
 
-	tech, err := nodeByName(*node)
-	if err != nil {
-		return err
-	}
-	tech, err = applyMaterials(tech, *gap, "")
+	tech, err := selectTech(*node, *gap, "")
 	if err != nil {
 		return err
 	}
@@ -184,11 +160,7 @@ func cmdRepeater(args []string) error {
 	length := fs.Float64("len", 0, "override line length, mm (0 = lopt)")
 	fs.Parse(args)
 
-	tech, err := nodeByName(*node)
-	if err != nil {
-		return err
-	}
-	tech, err = applyMaterials(tech, *gap, "")
+	tech, err := selectTech(*node, *gap, "")
 	if err != nil {
 		return err
 	}
@@ -343,7 +315,7 @@ func cmdTech(args []string) error {
 	fs.Parse(args)
 	techs := ntrs.Nodes()
 	if *node != "" {
-		t, err := nodeByName(*node)
+		t, err := selectTech(*node, "", "")
 		if err != nil {
 			return err
 		}
@@ -369,11 +341,7 @@ func cmdDeck(args []string) error {
 	esdNs := fs.Float64("esd-ns", 200, "ESD pulse width, ns")
 	fs.Parse(args)
 
-	tech, err := nodeByName(*node)
-	if err != nil {
-		return err
-	}
-	tech, err = applyMaterials(tech, *gap, *metal)
+	tech, err := selectTech(*node, *gap, *metal)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 
-	"dsmtherm/internal/material"
 	"dsmtherm/internal/ntrs"
 	"dsmtherm/internal/phys"
 	"dsmtherm/internal/repeater"
@@ -29,21 +28,9 @@ func main() {
 }
 
 func run(node string, level int, gap string, samples int) error {
-	var tech *ntrs.Technology
-	switch node {
-	case "0.25", "250":
-		tech = ntrs.N250()
-	case "0.10", "0.1", "100":
-		tech = ntrs.N100()
-	default:
-		return fmt.Errorf("unknown node %q", node)
-	}
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return err
-		}
-		tech = tech.WithGapFill(d)
+	tech, err := ntrs.Select(node, gap, "")
+	if err != nil {
+		return err
 	}
 	if level == 0 {
 		level = tech.NumLevels()

@@ -142,47 +142,18 @@ type Check struct {
 	key string // geometryKey
 }
 
-// resolveTech also returns the node's technology name, which a gap or
-// metal swap extends.
-func resolveTech(node, gap, metal string) (*ntrs.Technology, string, error) {
-	var tech *ntrs.Technology
-	switch node {
-	case "", "0.25", "250":
-		tech = ntrs.N250()
-	case "0.10", "0.1", "100":
-		tech = ntrs.N100()
-	default:
-		return nil, "", fmt.Errorf("%w: unknown node %q (want 0.25 or 0.10)", ErrInvalid, node)
-	}
-	name := tech.Name
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return nil, "", fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if metal != "" {
-		m, err := material.MetalByName(metal)
-		if err != nil {
-			return nil, "", fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithMetal(m)
-	}
-	return tech, name, nil
-}
-
 // geometryKey is the exact key of the inputs an Operator depends on:
-// the technology (node, gap-fill and metal names), the strap levels,
-// the mesh size, the pitches, width multiple, reference temperature,
-// sheet and sink conductances by their float bits, and the pad set.
+// the technology (its name, which starts with the node's, and its
+// gap-fill and metal names), the strap levels, the mesh size, the
+// pitches, width multiple, reference temperature, sheet and sink
+// conductances by their float bits, and the pad set.
 // Pads are keyed as a set, ascending node indices each as its gap from
 // the last, so the order of a request's pad list does not matter.
 // Strings are length-prefixed and the pad set comes last, so distinct
 // inputs cannot collide.
-func geometryKey(node string, g *powergrid.Grid, tref, sheetCond, sink float64, isPad []bool) string {
+func geometryKey(g *powergrid.Grid, tref, sheetCond, sink float64, isPad []bool) string {
 	b := make([]byte, 0, 96+len(g.Pads))
-	for _, s := range []string{node, g.Tech.Gap.Name, g.Tech.Metal.Name} {
+	for _, s := range []string{g.Tech.Name, g.Tech.Gap.Name, g.Tech.Metal.Name} {
 		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
 	}
 	for _, v := range []int{g.HLevel, g.VLevel, g.Nx, g.Ny} {
@@ -218,9 +189,9 @@ func finitePos(name string, v float64) error {
 // Compile validates the request and builds a Check. It allocates O(Nx·Ny)
 // at most and performs no solves.
 func Compile(p Params) (*Check, error) {
-	tech, node, err := resolveTech(p.Node, p.Gap, p.Metal)
+	tech, err := ntrs.Select(p.Node, p.Gap, p.Metal)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	if p.Nx < 2 || p.Ny < 2 {
 		return nil, fmt.Errorf("%w: mesh %dx%d too small (want ≥ 2x2)", ErrInvalid, p.Nx, p.Ny)
@@ -359,7 +330,7 @@ func Compile(p Params) (*Check, error) {
 		return nil, fmt.Errorf("%w: dropLimitFrac %g (want in (0,1])", ErrInvalid, frac)
 	}
 	c.dropLimit = frac * tech.Vdd
-	c.key = geometryKey(node, g, c.tref, c.sheetCond, c.sink, isPad)
+	c.key = geometryKey(g, c.tref, c.sheetCond, c.sink, isPad)
 	return c, nil
 }
 

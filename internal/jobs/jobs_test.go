@@ -16,6 +16,7 @@ import (
 
 	"dsmtherm/internal/core"
 	"dsmtherm/internal/faultinject"
+	"dsmtherm/internal/ntrs"
 	"dsmtherm/internal/phys"
 	"dsmtherm/internal/rules"
 )
@@ -143,7 +144,7 @@ func TestMonteCarloJobMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tech, err := resolveTech("", "", "")
+	tech, err := ntrs.Select("", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,35 +73,6 @@ func decodeParams(params json.RawMessage, v any) error {
 	return nil
 }
 
-// resolveTech maps the wire node/gap/metal triple to a technology (the
-// same names the synchronous /v1/rules API accepts).
-func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
-	var tech *ntrs.Technology
-	switch node {
-	case "", "0.25", "250":
-		tech = ntrs.N250()
-	case "0.10", "0.1", "100":
-		tech = ntrs.N100()
-	default:
-		return nil, fmt.Errorf("%w: unknown node %q (want 0.25 or 0.10)", ErrInvalid, node)
-	}
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if metal != "" {
-		m, err := material.MetalByName(metal)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithMetal(m)
-	}
-	return tech, nil
-}
-
 // orVal resolves a pointer-or-presence field (absent → def, present →
 // the client's value, zeros included — same convention as the
 // synchronous API).
@@ -190,9 +161,9 @@ func newMonteCarloTask(params json.RawMessage) (Task, error) {
 	if p.Samples > mcMaxSamples {
 		return nil, fmt.Errorf("%w: samples %d exceeds limit %d", ErrInvalid, p.Samples, mcMaxSamples)
 	}
-	tech, err := resolveTech(p.Node, p.Gap, p.Metal)
+	tech, err := ntrs.Select(p.Node, p.Gap, p.Metal)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	spec := rules.Spec{
 		SignalDutyCycle: orVal(p.DutyCycle, 0.1),
@@ -385,9 +356,9 @@ func newSweepTask(params json.RawMessage) (Task, error) {
 		}
 		grid = conv
 	}
-	tech, err := resolveTech(p.Node, p.Gap, p.Metal)
+	tech, err := ntrs.Select(p.Node, p.Gap, p.Metal)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	line, err := tech.Line(p.Level, phys.Microns(orVal(p.LengthUm, 2000)))
 	if err != nil {

@@ -120,20 +120,24 @@ func PaperDielectrics() []*Dielectric {
 	return []*Dielectric{&o, &h, &p}
 }
 
-// DielectricByName returns the standard dielectric with the given name.
+// dielectrics maps every name DielectricByName accepts to its material.
+var dielectrics = map[string]*Dielectric{
+	"oxide": &Oxide, "Oxide": &Oxide, "SiO2": &Oxide, "PETEOS": &Oxide,
+	"hsq": &HSQ, "HSQ": &HSQ,
+	"polyimide": &Polyimide, "Polyimide": &Polyimide,
+	"siof": &SiOF, "SiOF": &SiOF,
+	"lowk2": &LowK2, "LowK2.0": &LowK2, "k2.0": &LowK2,
+	"nitride": &Nitride, "Si3N4": &Nitride,
+	"si": &Silicon, "Si": &Silicon,
+	"air": &Air, "Air": &Air,
+}
+
+// DielectricByName returns a copy of the standard dielectric with the
+// given name.
 func DielectricByName(name string) (*Dielectric, error) {
-	all := map[string]Dielectric{
-		"oxide": Oxide, "Oxide": Oxide, "SiO2": Oxide, "PETEOS": Oxide,
-		"hsq": HSQ, "HSQ": HSQ,
-		"polyimide": Polyimide, "Polyimide": Polyimide,
-		"siof": SiOF, "SiOF": SiOF,
-		"lowk2": LowK2, "LowK2.0": LowK2, "k2.0": LowK2,
-		"nitride": Nitride, "Si3N4": Nitride,
-		"si": Silicon, "Si": Silicon,
-		"air": Air, "Air": Air,
-	}
-	if d, ok := all[name]; ok {
-		return &d, nil
+	if d, ok := dielectrics[name]; ok {
+		c := *d
+		return &c, nil
 	}
 	return nil, fmt.Errorf("material: unknown dielectric %q", name)
 }

@@ -136,6 +136,14 @@ func TestDielectricByName(t *testing.T) {
 	}
 }
 
+// TestDielectricByNameAllocs pins a lookup to the one allocation of its
+// returned copy, as MetalByName: the alias table is built once.
+func TestDielectricByNameAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { _, _ = DielectricByName("HSQ") }); got != 1 {
+		t.Errorf("DielectricByName allocates %v times, want 1", got)
+	}
+}
+
 func TestVolumetricHeatCapacity(t *testing.T) {
 	// Cu: 8960·385 ≈ 3.45e6 J/(m³K) — the value that sets ESD adiabatic
 	// heating rates.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"dsmtherm/internal/material"
 	"dsmtherm/internal/ntrs"
 	"dsmtherm/internal/phys"
 	"dsmtherm/internal/rules"
@@ -42,7 +41,7 @@ type SegmentSpec struct {
 
 // DesignFile is the top-level schema.
 type DesignFile struct {
-	// Node selects the technology: "0.25" or "0.10".
+	// Node selects the technology: "0.25" (the default) or "0.10".
 	Node string `json:"node"`
 	// J0MA overrides the EM budget, MA/cm² (default 1.8).
 	J0MA float64 `json:"j0MA,omitempty"`
@@ -68,28 +67,9 @@ func ParseDesign(r io.Reader) (*DesignFile, error) {
 // Tech materializes the technology the design file selects (node plus
 // any gap-fill / metal substitution).
 func (df *DesignFile) Tech() (*ntrs.Technology, error) {
-	var tech *ntrs.Technology
-	switch df.Node {
-	case "0.25", "250":
-		tech = ntrs.N250()
-	case "0.10", "0.1", "100":
-		tech = ntrs.N100()
-	default:
-		return nil, fmt.Errorf("%w: unknown node %q", ErrInvalid, df.Node)
-	}
-	if df.Gap != "" {
-		d, err := material.DielectricByName(df.Gap)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if df.Metal != "" {
-		m, err := material.MetalByName(df.Metal)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithMetal(m)
+	tech, err := ntrs.Select(df.Node, df.Gap, df.Metal)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return tech, nil
 }

@@ -2,6 +2,7 @@ package ntrs
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -232,5 +233,58 @@ func TestSheetResistanceAPI(t *testing.T) {
 	}
 	if _, err := tech.SheetResistance(0, 300); err == nil {
 		t.Error("invalid level must fail")
+	}
+}
+
+// TestSelectVocabulary pins the one selector vocabulary: every accepted
+// node spelling builds its node, gap-fill and metal swaps match
+// WithGapFill and WithMetal, Levels agrees with NumLevels, and an
+// unknown node, gap-fill or metal gives the error text callers quote.
+func TestSelectVocabulary(t *testing.T) {
+	hsq, err := material.DielectricByName("HSQ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alcu, err := material.MetalByName("AlCu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() *Technology{
+		"": N250, "0.25": N250, "250": N250,
+		"0.10": N100, "0.1": N100, "100": N100,
+	} {
+		node := build()
+		for _, c := range []struct {
+			gap, metal string
+			want       *Technology
+		}{
+			{"", "", node},
+			{"HSQ", "", node.WithGapFill(hsq)},
+			{"", "AlCu", node.WithMetal(alcu)},
+			{"HSQ", "AlCu", node.WithGapFill(hsq).WithMetal(alcu)},
+		} {
+			got, err := Select(name, c.gap, c.metal)
+			if err != nil {
+				t.Errorf("Select(%q, %q, %q): %v", name, c.gap, c.metal, err)
+			} else if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("Select(%q, %q, %q) = %s, want %s", name, c.gap, c.metal, got.Name, c.want.Name)
+			}
+		}
+		if levels, ok := Levels(name); !ok || levels != node.NumLevels() {
+			t.Errorf("Levels(%q) = %d, %v; want %d, true", name, levels, ok, node.NumLevels())
+		}
+	}
+	for _, c := range []struct{ node, gap, metal, want string }{
+		{"0.5", "", "", `unknown node "0.5" (want 0.25 or 0.10)`},
+		{"n250", "", "", `unknown node "n250" (want 0.25 or 0.10)`},
+		{"0.25", "aerogel", "", `material: unknown dielectric "aerogel"`},
+		{"0.10", "", "Ag", `material: unknown metal "Ag"`},
+	} {
+		if _, err := Select(c.node, c.gap, c.metal); err == nil || err.Error() != c.want {
+			t.Errorf("Select(%q, %q, %q) error = %v, want %q", c.node, c.gap, c.metal, err, c.want)
+		}
+	}
+	if _, ok := Levels("0.5"); ok {
+		t.Error(`Levels("0.5") accepted an unknown node`)
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dsmtherm/internal/core"
 )
 
 func benchServer(b *testing.B, cacheEntries int) *httptest.Server {
@@ -153,7 +155,7 @@ func BenchmarkCacheGetHit(b *testing.B) {
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("solve|0.25|||5|r%d", i)
-		c.Add(keys[i], solveResult{})
+		c.Add(keys[i], outcome[core.Solution]{})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,7 +171,7 @@ func BenchmarkCacheGetHitParallel(b *testing.B) {
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("solve|0.25|||5|r%d", i)
-		c.Add(keys[i], solveResult{})
+		c.Add(keys[i], outcome[core.Solution]{})
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -245,7 +247,7 @@ func BenchmarkQuarantineHit(b *testing.B) {
 	// Find the canonical key via the cache the warm-up populated.
 	var key string
 	s.cache.Range(func(k string, v any) bool {
-		if _, ok := v.(solveResult); ok {
+		if _, ok := v.(outcome[core.Solution]); ok {
 			key = k
 			return false
 		}

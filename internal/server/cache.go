@@ -86,8 +86,19 @@ func (c *Cache) Get(key string) (any, bool) {
 // GetAt is Get plus the time the value was stored, so callers can apply
 // a freshness policy (the breaker's stale marking) to hits.
 func (c *Cache) GetAt(key string) (any, time.Time, bool) {
-	if len(c.shards) == 0 {
+	v, at, ok := c.lookup(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
 		c.misses.Add(1)
+	}
+	return v, at, ok
+}
+
+// lookup is GetAt without the hit and miss counters, for a second look
+// on behalf of a request whose first look already counted.
+func (c *Cache) lookup(key string) (any, time.Time, bool) {
+	if len(c.shards) == 0 {
 		return nil, time.Time{}, false
 	}
 	s := c.shard(key)
@@ -99,11 +110,9 @@ func (c *Cache) GetAt(key string) (any, time.Time, bool) {
 	_ = faultinject.Inject(context.Background(), faultinject.SiteCacheShard)
 	el, ok := s.m[key]
 	if !ok {
-		c.misses.Add(1)
 		return nil, time.Time{}, false
 	}
 	s.lru.MoveToFront(el)
-	c.hits.Add(1)
 	e := el.Value.(*cacheEntry)
 	return e.val, e.at, true
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"dsmtherm/internal/faultinject"
+	"dsmtherm/internal/rules"
 )
 
 // The chaos suite drives the daemon with concurrent batches while fault
@@ -362,6 +363,59 @@ func TestChaosCoalescerThunderingHerd(t *testing.T) {
 	}
 
 	waitQuiescent(t, s, 5*time.Second)
+}
+
+// TestFlightLeaderRechecksCache drives the herd's late-miss race
+// deterministically: a request misses the cache, and by the time it
+// leads a flight on its key, the previous flight has cached the row and
+// landed. The flight hook stores the rule key's outcome as that flight
+// would have, before the leader computes; the leader must answer with
+// that row and build none.
+func TestFlightLeaderRechecksCache(t *testing.T) {
+	s, ts := newTestServer(t)
+	const body = `{"node":"0.25","level":5,"dutyCycle":0.1,"j0MA":1.8}`
+	var req RulesRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	wk, err := s.prepareRules(req.params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tech, err := selectTech(wk.p.Node, wk.p.Gap, wk.p.Metal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := rules.GenerateLevelCtx(context.Background(), tech, wk.p.Level, wk.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.Set(faultinject.SiteServerFlight, func(ctx context.Context) error {
+		if faultinject.Meta(ctx) == wk.ruleKey {
+			s.Cache().Add(wk.ruleKey, outcome[rules.LevelRule]{v: row})
+		}
+		return nil
+	}))
+
+	status, raw := postJSON(t, ts.URL+"/v1/rules", body)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	var rr RulesResponse
+	if err := json.Unmarshal(raw, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Rule != levelRuleJSON(row) {
+		t.Errorf("rule = %+v, want the cached row %+v", rr.Rule, levelRuleJSON(row))
+	}
+	if got := s.Metrics().DecksBuilt.Load(); got != 0 {
+		t.Errorf("leader built %d deck rows over a cached one, want 0", got)
+	}
+	// The request looked up its solve and rule keys once each; the
+	// leaders' second looks count toward neither hits nor misses.
+	if st := s.Cache().Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("cache counted %d hits and %d misses, want 0 and 2", st.Hits, st.Misses)
+	}
 }
 
 // TestChaosCoalescerLeaderCancelled drives the nastiest coalescer race:

@@ -190,13 +190,22 @@ func (s *Server) prepareRules(p rulesParams) (*rulesWork, error) {
 	}, nil
 }
 
+// selectTech is ntrs.Select with its error as a 400.
+func selectTech(node, gap, metal string) (*ntrs.Technology, error) {
+	tech, err := ntrs.Select(node, gap, metal)
+	if err != nil {
+		return nil, badRequestf("%v", err)
+	}
+	return tech, nil
+}
+
 // lineValid reports, without building the technology, that line would
 // succeed: a known node, gap and metal, a level the node has, and a
 // length tech.Line accepts. A false answer may be conservative; the
 // caller then asks line itself.
 func (p rulesParams) lineValid() bool {
-	n, ok := techNodes[p.Node]
-	if !ok || p.Level < 1 || p.Level > n.levels || phys.Microns(p.LengthUm) <= 0 {
+	levels, ok := ntrs.Levels(p.Node)
+	if !ok || p.Level < 1 || p.Level > levels || phys.Microns(p.LengthUm) <= 0 {
 		return false
 	}
 	if p.Gap != "" {
@@ -215,7 +224,7 @@ func (p rulesParams) lineValid() bool {
 
 // line builds the query's technology and its line.
 func (p rulesParams) line() (*ntrs.Technology, *geometry.Line, error) {
-	tech, err := resolveTech(p.Node, p.Gap, p.Metal)
+	tech, err := selectTech(p.Node, p.Gap, p.Metal)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -243,9 +252,14 @@ func (s *Server) solveRules(ctx context.Context, wk *rulesWork) (*RulesResponse,
 	if err != nil {
 		return nil, err
 	}
-	rule, ruleCoal, ruleStale, err := s.levelRuleCached(ctx, wk.ruleKey, func() (*ntrs.Technology, error) {
-		return resolveTech(wk.p.Node, wk.p.Gap, wk.p.Metal)
-	}, wk.p.Level, wk.spec)
+	rule, _, ruleCoal, ruleStale, err := cached(ctx, s, wk.ruleKey, &s.metrics.DeckCacheHit, func() (rules.LevelRule, error) {
+		tech, err := selectTech(wk.p.Node, wk.p.Gap, wk.p.Metal)
+		if err != nil {
+			return rules.LevelRule{}, err
+		}
+		defer s.metrics.DecksBuilt.Add(1)
+		return rules.GenerateLevelCtx(ctx, tech, wk.p.Level, wk.spec)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +462,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	j0MA := orDefault(req.J0MA, 1.8)
 	trefC := orDefault(req.TrefC, 100)
 	lengthUm := orDefault(req.LengthUm, 2000)
-	tech, err := resolveTech(node, req.Gap, req.Metal)
+	tech, err := selectTech(node, req.Gap, req.Metal)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -555,7 +569,10 @@ func (s *Server) handleNetcheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	deck, deckHit, deckCoal, deckStale, err := s.deckCached(r.Context(), deckKey(df.Node, df.Gap, df.Metal, df.J0MA), tech, df.Spec())
+	deck, deckHit, deckCoal, deckStale, err := cached(r.Context(), s, deckKey(df.Node, df.Gap, df.Metal, df.J0MA), &s.metrics.DeckCacheHit, func() (*rules.Deck, error) {
+		defer s.metrics.DecksBuilt.Add(1)
+		return rules.GenerateCtx(r.Context(), tech, df.Spec())
+	})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -634,7 +651,7 @@ type TechResponse struct {
 
 func (s *Server) handleTech(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	tech, err := resolveTech(q.Get("node"), q.Get("gap"), q.Get("metal"))
+	tech, err := selectTech(q.Get("node"), q.Get("gap"), q.Get("metal"))
 	if err != nil {
 		writeError(w, err)
 		return

@@ -52,8 +52,6 @@ import (
 
 	"dsmtherm/internal/core"
 	"dsmtherm/internal/jobs"
-	"dsmtherm/internal/material"
-	"dsmtherm/internal/ntrs"
 	"dsmtherm/internal/rules"
 )
 
@@ -484,55 +482,6 @@ func (s *Server) snapshotLoop(ctx context.Context) {
 // Draining reports whether the server has entered its shutdown drain.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// techNodes maps every node name the API accepts to its technology's
-// constructor and level count, so a query can be validated and keyed
-// without building a technology.
-var techNodes = func() map[string]techNode {
-	m := map[string]techNode{}
-	for _, n := range []struct {
-		names []string
-		build func() *ntrs.Technology
-	}{
-		{[]string{"", "0.25", "250"}, ntrs.N250},
-		{[]string{"0.10", "0.1", "100"}, ntrs.N100},
-	} {
-		levels := n.build().NumLevels()
-		for _, name := range n.names {
-			m[name] = techNode{build: n.build, levels: levels}
-		}
-	}
-	return m
-}()
-
-type techNode struct {
-	build  func() *ntrs.Technology
-	levels int
-}
-
-// resolveTech maps request-level technology selectors to a Technology.
-func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
-	n, ok := techNodes[node]
-	if !ok {
-		return nil, badRequestf("unknown node %q (want 0.25 or 0.10)", node)
-	}
-	tech := n.build()
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if metal != "" {
-		m, err := material.MetalByName(metal)
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		tech = tech.WithMetal(m)
-	}
-	return tech, nil
-}
-
 // Canonical cache keys. Floats are rendered with strconv 'x' (hex, exact
 // round-trip), so two requests hit the same entry iff their solve inputs
 // are bit-identical — no tolerance guessing, no false sharing. String
@@ -602,12 +551,13 @@ func deckKey(node, gap, metal string, j0MA float64) string {
 	return string(b)
 }
 
-// solveResult is what the cache stores for a solve key: the outcome,
-// success or not. Solves are deterministic, so remembering failures
-// (ErrNoSolution, validation errors) is as sound as remembering
-// solutions and shields the solver from repeated doomed requests.
-type solveResult struct {
-	sol core.Solution
+// outcome is what the cache stores for a key: the computed value and its
+// error, success or not. Solves and deck rows are deterministic, so
+// remembering failures (ErrNoSolution, validation errors) is as sound as
+// remembering values and shields the solver from repeated doomed
+// requests.
+type outcome[V any] struct {
+	v   V
 	err error
 }
 
@@ -683,26 +633,49 @@ func (s *Server) markStale(at time.Time) bool {
 	return true
 }
 
-// solveCached runs core.SolveCtx through the cache and, on a miss,
-// through the resilience gates and the flight group: concurrent misses
-// on the same key block on one in-flight solve instead of each
-// re-solving. Cancellation outcomes are never cached (they describe the
-// request's lifecycle, not the problem), and neither are unclassified
-// internal failures (cacheableOutcome); those feed the quarantine and
-// breaker instead. problem builds the solve's inputs; only a flight
-// leader calls it, so a hit builds no technology.
+// cached answers key from the cache or, on a miss, through the
+// resilience gates and the flight group: concurrent misses on the same
+// key block on one in-flight compute instead of each recomputing. A hit
+// counts in hits. Cancellation outcomes are never cached (they describe
+// the request's lifecycle, not the problem), and neither are
+// unclassified internal failures (cacheableOutcome); those feed the
+// quarantine and breaker instead. Only a flight leader calls compute,
+// so a hit builds no technology. The leader looks in the cache again
+// first: a request can miss the cache and reach the flight group only
+// after the previous flight on its key has cached its outcome and
+// ended, and it then answers from that outcome instead of computing it
+// again.
+func cached[V any](ctx context.Context, s *Server, key string, hits *atomic.Uint64, compute func() (V, error)) (v V, hit, coalesced, stale bool, err error) {
+	if c, at, ok := s.cache.GetAt(key); ok {
+		hits.Add(1)
+		o := c.(outcome[V])
+		return o.v, true, false, s.markStale(at), o.err
+	}
+	probe, err := s.gateMiss(key)
+	if err != nil {
+		return v, false, false, false, err
+	}
+	var x any
+	x, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
+		if c, _, ok := s.cache.lookup(key); ok {
+			o := c.(outcome[V])
+			return o.v, o.err
+		}
+		v, err := compute()
+		if ctx.Err() == nil && cacheableOutcome(err) {
+			s.cache.Add(key, outcome[V]{v, err})
+		}
+		return v, err
+	})
+	s.recordMiss(key, err, coalesced, probe)
+	v, _ = x.(V)
+	return v, false, coalesced, false, err
+}
+
+// solveCached runs core.SolveCtx through cached; problem builds the
+// solve's inputs, for a flight leader only.
 func (s *Server) solveCached(ctx context.Context, key string, problem func() (core.Problem, error)) (sol core.Solution, hit, coalesced, stale bool, err error) {
-	if v, at, ok := s.cache.GetAt(key); ok {
-		res := v.(solveResult)
-		s.metrics.SolveCached.Add(1)
-		return res.sol, true, false, s.markStale(at), res.err
-	}
-	probe, gerr := s.gateMiss(key)
-	if gerr != nil {
-		return core.Solution{}, false, false, false, gerr
-	}
-	var v any
-	v, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
+	return cached(ctx, s, key, &s.metrics.SolveCached, func() (core.Solution, error) {
 		p, err := problem()
 		if err != nil {
 			return core.Solution{}, err
@@ -710,81 +683,6 @@ func (s *Server) solveCached(ctx context.Context, key string, problem func() (co
 		start := time.Now()
 		sol, err := core.SolveCtx(ctx, p)
 		s.metrics.ObserveSolve(time.Since(start), err)
-		if ctx.Err() == nil && cacheableOutcome(err) {
-			s.cache.Add(key, solveResult{sol: sol, err: err})
-		}
 		return sol, err
 	})
-	s.recordMiss(key, err, coalesced, probe)
-	sol, _ = v.(core.Solution)
-	return sol, false, coalesced, false, err
-}
-
-// levelRuleCached runs rules.GenerateLevelCtx through the cache, the
-// resilience gates and the flight group (same caching rules as
-// solveCached); tech builds the technology for a flight leader only.
-func (s *Server) levelRuleCached(ctx context.Context, key string, tech func() (*ntrs.Technology, error), level int, spec rules.Spec) (rule rules.LevelRule, coalesced, stale bool, err error) {
-	if v, at, ok := s.cache.GetAt(key); ok {
-		s.metrics.DeckCacheHit.Add(1)
-		res := v.(levelRuleResult)
-		return res.rule, false, s.markStale(at), res.err
-	}
-	probe, gerr := s.gateMiss(key)
-	if gerr != nil {
-		return rules.LevelRule{}, false, false, gerr
-	}
-	var v any
-	v, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
-		t, err := tech()
-		if err != nil {
-			return rules.LevelRule{}, err
-		}
-		rule, err := rules.GenerateLevelCtx(ctx, t, level, spec)
-		s.metrics.DecksBuilt.Add(1)
-		if ctx.Err() == nil && cacheableOutcome(err) {
-			s.cache.Add(key, levelRuleResult{rule: rule, err: err})
-		}
-		return rule, err
-	})
-	s.recordMiss(key, err, coalesced, probe)
-	rule, _ = v.(rules.LevelRule)
-	return rule, coalesced, false, err
-}
-
-type levelRuleResult struct {
-	rule rules.LevelRule
-	err  error
-}
-
-// deckCached runs rules.GenerateCtx through the cache, the resilience
-// gates and the flight group (same caching rules as solveCached). Deck
-// values hold a *ntrs.Technology and are excluded from snapshots; they
-// rebuild on first use after a restart.
-func (s *Server) deckCached(ctx context.Context, key string, tech *ntrs.Technology, spec rules.Spec) (deck *rules.Deck, hit, coalesced, stale bool, err error) {
-	if v, at, ok := s.cache.GetAt(key); ok {
-		s.metrics.DeckCacheHit.Add(1)
-		res := v.(deckResult)
-		return res.deck, true, false, s.markStale(at), res.err
-	}
-	probe, gerr := s.gateMiss(key)
-	if gerr != nil {
-		return nil, false, false, false, gerr
-	}
-	var v any
-	v, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
-		deck, err := rules.GenerateCtx(ctx, tech, spec)
-		s.metrics.DecksBuilt.Add(1)
-		if ctx.Err() == nil && cacheableOutcome(err) {
-			s.cache.Add(key, deckResult{deck: deck, err: err})
-		}
-		return deck, err
-	})
-	s.recordMiss(key, err, coalesced, probe)
-	deck, _ = v.(*rules.Deck)
-	return deck, false, coalesced, false, err
-}
-
-type deckResult struct {
-	deck *rules.Deck
-	err  error
 }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dsmtherm/internal/jobs"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -800,5 +802,44 @@ func TestReadyz(t *testing.T) {
 	s.draining.Store(false)
 	if status := getJSON(t, ts.URL+"/readyz", &st); status != http.StatusOK || st.Status != "ready" {
 		t.Errorf("recovered readyz = %d %q, want 200 ready", status, st.Status)
+	}
+}
+
+// TestNodeVocabularyEveryRoute pins one node vocabulary across every
+// route and job type that takes a node: each answers "0.5" with a 400
+// invalid_request and accepts "250" and "0.1", and /v1/netcheck, like
+// the rest, reads an omitted node as 0.25.
+func TestNodeVocabularyEveryRoute(t *testing.T) {
+	_, ts, _ := newJobsServer(t, jobs.Config{})
+	const (
+		seg  = `{"net":"n","name":"s","level":3,"widthMultiple":1,"lengthUm":500,"waveform":{"kind":"dc","amps":1e-4}}`
+		chip = `{"node":"NODE","nx":6,"ny":6,"padRing":true,"uniformLoadA":0.01}`
+	)
+	for _, rt := range []struct {
+		method, path, body string // NODE stands for the node name
+		ok                 int
+	}{
+		{http.MethodPost, "/v1/rules", `{"node":"NODE","level":3}`, http.StatusOK},
+		{http.MethodPost, "/v1/sweep", `{"node":"NODE","level":3,"points":2}`, http.StatusOK},
+		{http.MethodGet, "/v1/tech?node=NODE", "", http.StatusOK},
+		{http.MethodPost, "/v1/netcheck", `{"node":"NODE","segments":[` + seg + `]}`, http.StatusOK},
+		{http.MethodPost, "/v1/chipcheck", chip, http.StatusOK},
+		{http.MethodPost, "/v1/jobs", `{"type":"montecarlo","montecarlo":{"node":"NODE","samples":10}}`, http.StatusAccepted},
+		{http.MethodPost, "/v1/jobs", `{"type":"sweep","sweep":{"node":"NODE","level":3,"points":2}}`, http.StatusAccepted},
+		{http.MethodPost, "/v1/jobs", `{"type":"chipcheck","chipcheck":` + chip + `}`, http.StatusAccepted},
+	} {
+		for _, node := range []string{"0.5", "250", "0.1"} {
+			resp, body := doRequest(t, rt.method, ts.URL+strings.ReplaceAll(rt.path, "NODE", node), strings.ReplaceAll(rt.body, "NODE", node))
+			if node == "0.5" {
+				if resp.StatusCode != http.StatusBadRequest || errorCode(t, body) != "invalid_request" {
+					t.Errorf("%s %s node %q: %d %s, want 400 invalid_request", rt.method, rt.path, node, resp.StatusCode, body)
+				}
+			} else if resp.StatusCode != rt.ok {
+				t.Errorf("%s %s node %q: %d %s, want %d", rt.method, rt.path, node, resp.StatusCode, body, rt.ok)
+			}
+		}
+	}
+	if status, body := postJSON(t, ts.URL+"/v1/netcheck", `{"segments":[`+seg+`]}`); status != http.StatusOK {
+		t.Errorf("netcheck without a node: %d %s, want 200", status, body)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // deterministic solves, that is minutes of avoidable cold-start solver
 // burn on every deploy.
 //
-// What is persisted: successful solveResult and levelRuleResult entries
-// only. Both are flat exported-float structs, stable under gob. Deck
+// What is persisted: successful solve and level-rule outcomes only.
+// Both are flat exported-float structs, stable under gob. Deck
 // results hold a *ntrs.Technology (pointer-heavy, versioned by code,
 // cheap to rebuild relative to its solves) and error outcomes are
 // deliberately forgotten across restarts — a new binary may well fix
@@ -102,18 +102,18 @@ func decodeSnapshot(data []byte) (sf snapFile, err error) {
 func (s *Server) collectSnapshot() (entries []snapEntry, skipped uint64) {
 	s.cache.Range(func(key string, val any) bool {
 		switch v := val.(type) {
-		case solveResult:
+		case outcome[core.Solution]:
 			if v.err != nil {
 				skipped++
 				return true
 			}
-			entries = append(entries, snapEntry{Key: key, Kind: snapKindSolve, Solve: v.sol})
-		case levelRuleResult:
+			entries = append(entries, snapEntry{Key: key, Kind: snapKindSolve, Solve: v.v})
+		case outcome[rules.LevelRule]:
 			if v.err != nil {
 				skipped++
 				return true
 			}
-			entries = append(entries, snapEntry{Key: key, Kind: snapKindRule, Rule: v.rule})
+			entries = append(entries, snapEntry{Key: key, Kind: snapKindRule, Rule: v.v})
 		default: // deck results and anything future
 			skipped++
 		}
@@ -180,9 +180,9 @@ func (s *Server) loadSnapshot() {
 	for _, e := range sf.Entries {
 		switch e.Kind {
 		case snapKindSolve:
-			s.cache.Add(e.Key, solveResult{sol: e.Solve})
+			s.cache.Add(e.Key, outcome[core.Solution]{v: e.Solve})
 		case snapKindRule:
-			s.cache.Add(e.Key, levelRuleResult{rule: e.Rule})
+			s.cache.Add(e.Key, outcome[rules.LevelRule]{v: e.Rule})
 		default:
 			continue
 		}

@@ -232,9 +232,9 @@ func TestSnapshotSkipsErrorsAndDecks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 	s := New(Config{Workers: 2, CacheEntries: 64, SnapshotPath: path})
 	waitLoaded(t, s)
-	s.Cache().Add("good", solveResult{sol: core.Solution{Tm: 400}})
-	s.Cache().Add("doomed", solveResult{err: core.ErrNoSolution})
-	s.Cache().Add("deck", deckResult{deck: &rules.Deck{}})
+	s.Cache().Add("good", outcome[core.Solution]{v: core.Solution{Tm: 400}})
+	s.Cache().Add("doomed", outcome[core.Solution]{err: core.ErrNoSolution})
+	s.Cache().Add("deck", outcome[*rules.Deck]{v: &rules.Deck{}})
 	if err := s.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func TestSnapshotAtomicOverwrite(t *testing.T) {
 	path := filepath.Join(dir, "cache.snap")
 	s := New(Config{Workers: 2, CacheEntries: 64, SnapshotPath: path})
 	waitLoaded(t, s)
-	s.Cache().Add("a", solveResult{sol: core.Solution{Tm: 1}})
+	s.Cache().Add("a", outcome[core.Solution]{v: core.Solution{Tm: 1}})
 	if err := s.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	s.Cache().Add("b", solveResult{sol: core.Solution{Tm: 2}})
+	s.Cache().Add("b", outcome[core.Solution]{v: core.Solution{Tm: 2}})
 	if err := s.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
