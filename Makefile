@@ -46,6 +46,7 @@ chaos:
 # key-encoder collision without turning CI into a fuzz farm.
 fuzz-smoke:
 	$(GO) test ./internal/netcheck -run '^$$' -fuzz FuzzParseDesign -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzNetcheckRoute -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzSolveKeyEncoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDeckKeyEncoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime $(FUZZTIME)
@@ -69,22 +70,24 @@ cover-chipcheck:
 
 # One-iteration pass over the orchestration benchmarks: keeps the
 # thundering-herd, batch-vs-serial, warm-restart and quarantine paths,
-# the handler benchmarks and the job-lane throughput cases compiling
-# and executing without turning CI into a benchmark farm.
+# the handler benchmarks, the design-file decoder and the job-lane
+# throughput cases compiling and executing without turning CI into a
+# benchmark farm.
 bench-smoke:
 	$(GO) test ./internal/server -run '^$$' -bench 'ThunderingHerd|BatchVsSerial|WarmStartVsCold|QuarantineHit|Handler' -benchtime 1x
+	$(GO) test ./internal/netcheck -run '^$$' -bench 'ParseDesign' -benchtime 1x
 	$(GO) test ./internal/jobs -run '^$$' -bench 'JobThroughput' -benchtime 1x
 
 # Numeric-backbone benchmarks (parallel kernels, the banded factor and
 # sweep, batched FDM solves, Monte Carlo fan-out, job-lane throughput,
 # the lifetime sampling kernel and its inverse normal) with serial
 # baselines in the same run, plus the rules, batch and netcheck handler
-# benchmarks, five samples each (benchjson records the median, min and
+# benchmarks and the design-file decoder, five samples each (benchjson records the median, min and
 # max), appended to the perf trajectory as the next BENCH_<n>.json
 # (cmd/benchjson -next auto-increments past the highest existing index).
 bench-json:
-	$(GO) test ./internal/mathx ./internal/fdm ./internal/rules ./internal/jobs ./internal/chipcheck ./internal/lifetime ./internal/server -run '^$$' \
-		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|BandCholesky|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|SampleRange|InvNormCDF|Handler' \
+	$(GO) test ./internal/mathx ./internal/fdm ./internal/rules ./internal/jobs ./internal/chipcheck ./internal/lifetime ./internal/server ./internal/netcheck -run '^$$' \
+		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|BandCholesky|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|SampleRange|InvNormCDF|Handler|ParseDesign' \
 		-benchtime 10x -count=5 | $(GO) run ./cmd/benchjson -next .
 
 # Kernel A/B gate for a code change. It builds PKG's test binary in a

@@ -92,7 +92,7 @@ func (s *CoeffSolver) Solve(hint float64) (Solution, error) {
 	if !bracketed && s.g(hi) < 0 {
 		return Solution{}, ErrNoSolution
 	}
-	tm, err := mathx.BrentCtx(nil, s.g, a, b, 1e-9)
+	tm, err := mathx.Brent(s.g, a, b, 1e-9)
 	if err != nil {
 		return Solution{}, fmt.Errorf("%w: root search: %w", ErrNoSolution, err)
 	}

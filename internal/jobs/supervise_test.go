@@ -270,17 +270,19 @@ func TestRetryBudgetBoundsTotalRetries(t *testing.T) {
 
 // TestStuckChunkWatchdogRetries: an attempt exceeding ChunkDeadline is
 // cut by the watchdog, classified transient, and retried — the job
-// still completes cleanly when the stall clears.
+// still completes cleanly when the stall clears. The hook counts every
+// chunk's attempts, so an unstalled chunk that a loaded host keeps past
+// the deadline adds a retry the count accounts for, not a failure.
 func TestStuckChunkWatchdogRetries(t *testing.T) {
-	var calls sync.Map
+	var mu sync.Mutex
+	attempts := map[string]int{} // hook calls per chunk, one per attempt
 	cancel := faultinject.Set(faultinject.SiteJobsStep, func(ctx context.Context) error {
 		meta := faultinject.Meta(ctx)
-		if !metaChunk(meta, 1) {
-			return nil
-		}
-		n, _ := calls.LoadOrStore(meta, new(int))
-		c := n.(*int)
-		if *c++; *c == 1 {
+		mu.Lock()
+		attempts[meta]++
+		n := attempts[meta]
+		mu.Unlock()
+		if metaChunk(meta, 1) && n == 1 {
 			<-ctx.Done() // stall the first attempt until the watchdog fires
 			return ctx.Err()
 		}
@@ -299,8 +301,20 @@ func TestStuckChunkWatchdogRetries(t *testing.T) {
 	if fin.Status != StatusDone {
 		t.Fatalf("status = %s (%s), want done", fin.Status, fin.Error)
 	}
-	if st := m.Stats(); st.ChunkRetries != 1 {
-		t.Fatalf("ChunkRetries = %d, want 1 (watchdog trip)", st.ChunkRetries)
+	mu.Lock()
+	defer mu.Unlock()
+	var retries uint64
+	for meta, n := range attempts {
+		retries += uint64(n - 1)
+		if metaChunk(meta, 1) && n != 2 {
+			t.Errorf("chunk 1 ran %d times, want 2 (the stalled attempt and one retry)", n)
+		}
+	}
+	if n := attempts[v.ID+":1"]; n == 0 {
+		t.Errorf("chunk 1 never ran; attempts %v", attempts)
+	}
+	if st := m.Stats(); st.ChunkRetries != retries {
+		t.Fatalf("ChunkRetries = %d, want %d (the retries the hook saw, %v)", st.ChunkRetries, retries, attempts)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -106,6 +107,25 @@ func BenchmarkBandCholesky(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.Solve(rhs, x, tmp)
+		}
+	})
+}
+
+// BenchmarkBrentCtxShared runs root searches on every P under one
+// cancellable context, as the pool workers checking one netcheck design
+// share their request's: BrentCtx's per-iteration cancellation poll
+// must take no lock that they would contend on.
+func BenchmarkBrentCtxShared(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := func(x float64) float64 { return x*x*x - x - 2 }
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := BrentCtx(ctx, f, 1, 2, 1e-13); err != nil {
+				b.Error(err)
+				return
+			}
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package mathx is the numerical substrate for dsmtherm: root finding,
 // small dense and banded linear algebra, a conjugate-gradient solver for the
 // sparse SPD systems produced by the finite-difference thermal solver,
-// interpolation, least-squares fitting, quadrature, and ODE integration.
+// interpolation and least-squares fitting.
 //
 // The module is stdlib-only, so these routines replace the pieces of a
 // numerical library (LAPACK, GSL, SciPy) that the paper's original tooling
@@ -11,6 +11,7 @@
 package mathx
 
 import (
+	"context"
 	"errors"
 	"math"
 )
@@ -59,16 +60,20 @@ func Bisect(f Func1D, a, b, tol float64) (float64, error) {
 // smooth f while retaining bisection's robustness. tol is the absolute
 // tolerance on x.
 func Brent(f Func1D, a, b, tol float64) (float64, error) {
-	return BrentCtx(nil, f, a, b, tol)
+	return BrentCtx(context.Background(), f, a, b, tol)
 }
 
 // BrentCtx is Brent with a cancellation check between iterations: when
 // ctx ends mid-search, the search stops within one iteration and the
-// context's error is returned. A nil ctx skips the checks (equivalent to
-// Brent). Long-running services use this so an abandoned request stops
-// burning a solver slot at the next iteration boundary rather than
-// running the root search to convergence.
-func BrentCtx(ctx interface{ Err() error }, f Func1D, a, b, tol float64) (float64, error) {
+// context's error is returned. Long-running services use this so an
+// abandoned request stops burning a solver slot at the next iteration
+// boundary rather than running the root search to convergence. The check
+// is a non-blocking receive on ctx.Done(), not ctx.Err(): Err takes the
+// context's mutex, which every worker checking segments of one request
+// would contend on once per iteration. A context that never ends, such as
+// Background, has a nil Done and is not polled at all.
+func BrentCtx(ctx context.Context, f Func1D, a, b, tol float64) (float64, error) {
+	done := ctx.Done()
 	fa, fb := f(a), f(b)
 	if fa == 0 {
 		return a, nil
@@ -87,9 +92,11 @@ func BrentCtx(ctx interface{ Err() error }, f Func1D, a, b, tol float64) (float6
 	mflag := true
 	var d float64
 	for i := 0; i < 200; i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return b, err
+		if done != nil {
+			select {
+			case <-done:
+				return b, ctx.Err()
+			default:
 			}
 		}
 		if fb == 0 || math.Abs(b-a) < tol {

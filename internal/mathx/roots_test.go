@@ -1,6 +1,8 @@
 package mathx
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -31,6 +33,29 @@ func TestBisectNoBracket(t *testing.T) {
 	f := func(x float64) float64 { return x*x + 1 }
 	if _, err := Bisect(f, -1, 1, 1e-12); err != ErrNoBracket {
 		t.Errorf("expected ErrNoBracket, got %v", err)
+	}
+}
+
+// TestBrentCtxStopsWithinOneIteration: a context that ends while the
+// bracket's endpoints are evaluated stops the search before its first
+// iteration, and one that ends mid-search stops it at the next
+// iteration boundary.
+func TestBrentCtxStopsWithinOneIteration(t *testing.T) {
+	for _, c := range []struct{ cancelAt, wantEvals int }{{1, 2}, {5, 5}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		evals := 0
+		f := func(x float64) float64 {
+			if evals++; evals == c.cancelAt {
+				cancel()
+			}
+			return x*x*x - x - 2
+		}
+		_, err := BrentCtx(ctx, f, 1, 2, 1e-13)
+		cancel()
+		if !errors.Is(err, context.Canceled) || evals != c.wantEvals {
+			t.Errorf("cancelled at evaluation %d: err %v after %d evaluations, want context.Canceled after %d",
+				c.cancelAt, err, evals, c.wantEvals)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package netcheck
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -50,18 +49,6 @@ type DesignFile struct {
 	// Metal optionally swaps the interconnect metal by name.
 	Metal    string        `json:"metal,omitempty"`
 	Segments []SegmentSpec `json:"segments"`
-}
-
-// ParseDesign decodes (strictly — unknown fields are errors) a design
-// file without materializing anything.
-func ParseDesign(r io.Reader) (*DesignFile, error) {
-	var df DesignFile
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&df); err != nil {
-		return nil, fmt.Errorf("%w: design file: %v", ErrInvalid, err)
-	}
-	return &df, nil
 }
 
 // Tech materializes the technology the design file selects (node plus
@@ -124,7 +111,7 @@ func LoadDesign(r io.Reader) (*rules.Deck, []*Segment, error) {
 func materializeSegment(tech *ntrs.Technology, ss SegmentSpec) (*Segment, error) {
 	layer, err := tech.Layer(ss.Level)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	if ss.WidthMultiple == 0 {
 		ss.WidthMultiple = 1
@@ -138,14 +125,14 @@ func materializeSegment(tech *ntrs.Technology, ss SegmentSpec) (*Segment, error)
 		u, err := waveform.NewUnipolarPulse(
 			phys.MAPerCm2(ss.Waveform.PeakMA)*area, 1/tech.Clock, ss.Waveform.DutyCycle)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 		}
 		w = u
 	case "bipolar":
 		b, err := waveform.NewBipolarPulse(
 			phys.MAPerCm2(ss.Waveform.PeakMA)*area, 1/tech.Clock, ss.Waveform.DutyCycle)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 		}
 		w = b
 	default:

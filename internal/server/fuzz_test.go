@@ -1,8 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 )
 
 // canonFloat collapses every NaN bit pattern to one representative so
@@ -124,4 +133,95 @@ func TestCacheKeyAllocs(t *testing.T) {
 			t.Errorf("%s key: %g allocs per build, want 1", name, got)
 		}
 	}
+}
+
+// netcheckExecBound is the wall time one FuzzNetcheckRoute exec may
+// take. With MaxSegments at routeFuzzSegments a design is at most that
+// many segment solves and one deck build, milliseconds even under -race.
+const (
+	netcheckExecBound = 5 * time.Second
+	routeFuzzSegments = 8
+)
+
+// FuzzNetcheckRoute drives raw bodies through the whole /v1/netcheck
+// chain of one daemon (decode, deck, segment checks, reply) and asserts
+// the route's contract:
+//
+//   - the status is 200, a 4xx (422 and 429 among them) or 503, never
+//     a 500;
+//   - the body is JSON: a 200 body strict-decodes into NetcheckResponse,
+//     so no NaN or Inf token can pass, and any other body into the
+//     structured error;
+//   - each request finishes within netcheckExecBound.
+func FuzzNetcheckRoute(f *testing.F) {
+	full, err := json.Marshal(benchDesign(rand.New(rand.NewSource(benchSeed))))
+	if err != nil {
+		f.Fatal(err)
+	}
+	df := benchDesign(rand.New(rand.NewSource(benchSeed)))
+	df.Segments = df.Segments[:routeFuzzSegments]
+	short, err := json.Marshal(df)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(short)
+	f.Add([]byte(`{"node":"0.25","segments":[` +
+		`{"net":"<a&b>","name":"s\u2028>","level":5,"lengthUm":100,"waveform":{"kind":"dc","amps":0.001}},` +
+		"{\"net\":\"\xff\xfe\",\"name\":\"\xe2\x80\xa8\x01\",\"level\":3,\"lengthUm\":40,\"waveform\":{\"kind\":\"bipolar\",\"peakMA\":3,\"dutyCycle\":0.2}}]}"))
+	for _, seed := range readDesignSeeds(f) {
+		f.Add(seed)
+	}
+
+	h := New(Config{Workers: 2, MaxSegments: routeFuzzSegments}).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/netcheck", bytes.NewReader(body)))
+		}()
+		select {
+		case <-done:
+		case <-time.After(netcheckExecBound):
+			t.Fatalf("request still running after %v\nbody %q", netcheckExecBound, body)
+		}
+		code := rec.Code
+		if code != http.StatusOK && code != http.StatusServiceUnavailable && (code < 400 || code > 499) {
+			t.Fatalf("status %d: %s\nbody %q", code, rec.Body.Bytes(), body)
+		}
+		dec := json.NewDecoder(rec.Body)
+		dec.DisallowUnknownFields()
+		var v any = &apiError{}
+		if code == http.StatusOK {
+			v = &NetcheckResponse{}
+		}
+		if err := dec.Decode(v); err != nil || dec.More() {
+			t.Fatalf("status %d: body does not strict-decode into %T (%v): %s", code, v, err, rec.Body.Bytes())
+		}
+		if e, ok := v.(*apiError); ok && e.Error.Code == "" {
+			t.Fatalf("status %d: error body without a code", code)
+		}
+	})
+}
+
+// readDesignSeeds returns the netcheck package's general design seeds
+// (testdata/designs.txt there), one Go-quoted design a line.
+func readDesignSeeds(tb testing.TB) [][]byte {
+	data, err := os.ReadFile("../netcheck/testdata/designs.txt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds [][]byte
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			tb.Fatalf("designs.txt: %v in %s", err, line)
+		}
+		seeds = append(seeds, []byte(s))
+	}
+	return seeds
 }

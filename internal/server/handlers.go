@@ -621,7 +621,7 @@ func (s *Server) handleNetcheck(w http.ResponseWriter, r *http.Request) {
 			Verdict:        f.Verdict.String(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeNetcheck(w, &resp)
 }
 
 // TechLayerJSON is one metallization level of the tech response.

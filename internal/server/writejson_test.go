@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,6 +95,133 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 	writeError(rec, badRequestf("bad <field> & more"))
 	if want := wantIndented(t, apiError{Error: errorDetail(badRequestf("bad <field> & more"))}); !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("error body %q, want %q", rec.Body.Bytes(), want)
+	}
+}
+
+// trickyNames are net and segment names that exercise every escape
+// rule of the JSON string encoder.
+var trickyNames = []string{
+	"", "n0", "<a&b>", "line\u2028sep\u2029", "tab\tnl\ncr\rbs\bff\f", "\x00\x01\x1f\x7f",
+	"quote\"back\\slash/", "bad\xffutf8\xe2\x82", "\xed\xa0\x80", "é😀", "\ufffd",
+}
+
+// randomNetcheckResponse draws a response whose names come from
+// trickyNames and whose floats span the encoder's format switches.
+func randomNetcheckResponse(r *rand.Rand, n int) NetcheckResponse {
+	floats := []float64{0, math.Copysign(0, -1), 1, -2.5, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, 1.5e300, 5e-324, 123456.789}
+	f := func() float64 {
+		if r.Intn(2) == 0 {
+			return floats[r.Intn(len(floats))]
+		}
+		return r.NormFloat64() * math.Pow(10, float64(r.Intn(50)-25))
+	}
+	name := func() string { return trickyNames[r.Intn(len(trickyNames))] + trickyNames[r.Intn(len(trickyNames))] }
+	resp := NetcheckResponse{
+		Worst:         name(),
+		ByNet:         map[string]string{},
+		Findings:      make([]FindingJSON, 0, n),
+		Segments:      n,
+		DeckCached:    r.Intn(2) == 0,
+		DeckCoalesced: r.Intn(2) == 0,
+		DeckStale:     r.Intn(2) == 0,
+	}
+	for i := 0; i < n; i++ {
+		fd := FindingJSON{
+			Net: name(), Segment: name(), Level: r.Intn(20) - 5,
+			JpeakMA: f(), JrmsMA: f(), JavgMA: f(), Reff: f(), LimitMA: f(), Margin: f(), TmC: f(),
+			ThermallyShort: r.Intn(2) == 0, BlechImmortal: r.Intn(2) == 0, Verdict: name(),
+		}
+		resp.ByNet[fd.Net] = fd.Verdict
+		resp.Findings = append(resp.Findings, fd)
+	}
+	return resp
+}
+
+// TestWriteNetcheckMatchesMarshalIndent: the direct netcheck writer
+// writes json.MarshalIndent's bytes plus a newline, as writeJSON does,
+// for live replies, for names that need every escape, for empty and
+// nil containers and for bodies on both sides of the pooled-buffer cap.
+func TestWriteNetcheckMatchesMarshalIndent(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 2}).Handler())
+	defer ts.Close()
+	var live NetcheckResponse
+	status, body := postJSON(t, ts.URL+"/v1/netcheck", `{"node":"0.25","segments":[`+
+		`{"net":"<clk>","name":"s\u2028&","level":5,"lengthUm":3000,"waveform":{"kind":"bipolar","peakMA":1.0,"dutyCycle":0.12}},`+
+		`{"net":"bad\ud800","name":"\u0001","level":6,"lengthUm":20,"waveform":{"kind":"dc","amps":0.3}}]}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	if err := json.Unmarshal(body, &live); err != nil {
+		t.Fatal(err)
+	}
+	if want := wantIndented(t, live); !bytes.Equal(body, want) {
+		t.Fatalf("live reply differs from MarshalIndent + newline\ngot  %q\nwant %q", body, want)
+	}
+	r := rand.New(rand.NewSource(1))
+	cases := []NetcheckResponse{live, {}, {ByNet: map[string]string{}, Findings: []FindingJSON{}}}
+	for _, n := range []int{1, 2, 7, 200, 2000} {
+		cases = append(cases, randomNetcheckResponse(r, n))
+	}
+	for round := 0; round < 2; round++ {
+		for i := range cases {
+			rec := httptest.NewRecorder()
+			if !writeNetcheck(rec, &cases[i]) {
+				t.Fatalf("case %d: writeNetcheck reported no body", i)
+			}
+			if want := wantIndented(t, cases[i]); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("case %d: body differs from MarshalIndent + newline\ngot  %q\nwant %q", i, rec.Body.Bytes(), want)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" || rec.Code != http.StatusOK {
+				t.Fatalf("case %d: status %d, Content-Type %q", i, rec.Code, ct)
+			}
+		}
+	}
+}
+
+// TestWriteNetcheckCoversSchema pins the fields writeNetcheck writes:
+// a field added to NetcheckResponse or FindingJSON needs a line in the
+// writer and a value in randomNetcheckResponse.
+func TestWriteNetcheckCoversSchema(t *testing.T) {
+	for _, c := range []struct {
+		v      any
+		fields int
+	}{{NetcheckResponse{}, 7}, {FindingJSON{}, 13}} {
+		if n := reflect.TypeOf(c.v).NumField(); n != c.fields {
+			t.Errorf("%T has %d fields; writeNetcheck writes %d", c.v, n, c.fields)
+		}
+	}
+}
+
+// TestWriteNetcheckNonFinite: a non-finite float in any finding field
+// gets the 422 numeric_failure writeJSON gives, byte for byte, with
+// nothing of the reply written before it.
+func TestWriteNetcheckNonFinite(t *testing.T) {
+	fields := []func(*FindingJSON) *float64{
+		func(f *FindingJSON) *float64 { return &f.JpeakMA },
+		func(f *FindingJSON) *float64 { return &f.JrmsMA },
+		func(f *FindingJSON) *float64 { return &f.JavgMA },
+		func(f *FindingJSON) *float64 { return &f.Reff },
+		func(f *FindingJSON) *float64 { return &f.LimitMA },
+		func(f *FindingJSON) *float64 { return &f.Margin },
+		func(f *FindingJSON) *float64 { return &f.TmC },
+	}
+	for i, field := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			resp := randomNetcheckResponse(rand.New(rand.NewSource(int64(i))), 3)
+			*field(&resp.Findings[2]) = bad
+			*field(&resp.Findings[1]) = math.Inf(-1)
+			got, want := httptest.NewRecorder(), httptest.NewRecorder()
+			if writeNetcheck(got, &resp) {
+				t.Fatalf("field %d = %g: writeNetcheck reported a body", i, bad)
+			}
+			writeJSON(want, http.StatusOK, resp)
+			if got.Code != http.StatusUnprocessableEntity || !bytes.Contains(got.Body.Bytes(), []byte(`"numeric_failure"`)) {
+				t.Fatalf("field %d = %g: status %d body %s", i, bad, got.Code, got.Body.Bytes())
+			}
+			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("field %d = %g: %d %q, writeJSON %d %q", i, bad, got.Code, got.Body.Bytes(), want.Code, want.Body.Bytes())
+			}
+		}
 	}
 }
 
