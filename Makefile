@@ -30,14 +30,15 @@ race:
 	$(GO) test -race ./...
 
 # The resilience suite under the race detector: panic containment,
-# poison-key quarantine, breaker degradation, crash-safe restart, job
+# poison-key quarantine, breaker degradation, crash-safe restart, the
+# chipcheck operator store (coalesced builds, containment, budget), job
 # crash-resume / lane isolation, and the PR 8 self-healing suite — the
 # jobs package run covers chunk retry/quarantine, journal degradation
 # and torn-tail recovery under injected faults; the final line drives
 # the numeric fallback ladder and the CG health guards.
 chaos:
 	$(GO) test -race -count=1 ./internal/server \
-		-run 'TestChaos|TestPoolTaskPanic|TestFlightLeaderPanic|TestFlightLeaderRechecksCache|TestHandlerPanic|TestQuarantine|TestBreaker|TestFailureClass|TestSnapshot|TestQueueWaitClamp|TestAdmissionWaitClamped|TestReadyz|TestJobs'
+		-run 'TestChaos|TestPoolTaskPanic|TestFlightLeaderPanic|TestFlightLeaderRechecksCache|TestHandlerPanic|TestQuarantine|TestBreaker|TestFailureClass|TestSnapshot|TestQueueWaitClamp|TestAdmissionWaitClamped|TestReadyz|TestJobs|TestChipcheckOperator|TestOperatorStoreLRU|TestRunReleasesOperators'
 	$(GO) test -race -count=1 ./internal/jobs/...
 	$(GO) test -race -count=1 ./internal/fdm ./internal/powergrid ./internal/mathx \
 		-run 'TestSolverLadder|TestSheetLadder|TestIRDropFallback|TestLadder|TestCG|TestBandCholesky'
@@ -70,11 +71,11 @@ cover-chipcheck:
 
 # One-iteration pass over the orchestration benchmarks: keeps the
 # thundering-herd, batch-vs-serial, warm-restart and quarantine paths,
-# the handler benchmarks, the design-file decoder and the job-lane
-# throughput cases compiling and executing without turning CI into a
-# benchmark farm.
+# the store's cache hit, the handler benchmarks, the design-file decoder
+# and the job-lane throughput cases compiling and executing without
+# turning CI into a benchmark farm.
 bench-smoke:
-	$(GO) test ./internal/server -run '^$$' -bench 'ThunderingHerd|BatchVsSerial|WarmStartVsCold|QuarantineHit|Handler' -benchtime 1x
+	$(GO) test ./internal/server -run '^$$' -bench 'ThunderingHerd|BatchVsSerial|WarmStartVsCold|QuarantineHit|CacheGetHit|Handler' -benchtime 1x
 	$(GO) test ./internal/netcheck -run '^$$' -bench 'ParseDesign' -benchtime 1x
 	$(GO) test ./internal/jobs -run '^$$' -bench 'JobThroughput' -benchtime 1x
 

@@ -89,7 +89,7 @@ func selectTech(node, gap, metal string) (*ntrs.Technology, error) {
 
 func cmdRules(args []string) error {
 	fs := flag.NewFlagSet("rules", flag.ExitOnError)
-	node := fs.String("node", "0.25", "technology node (0.25 or 0.10)")
+	node := fs.String("node", ntrs.DefaultNode, "technology node (0.25 or 0.10)")
 	level := fs.Int("level", 0, "metallization level (0 = all top levels)")
 	r := fs.Float64("r", 0.1, "duty cycle")
 	j0 := fs.Float64("j0", 0.6, "EM design-rule current density at Tref, MA/cm²")
@@ -128,7 +128,7 @@ func cmdRules(args []string) error {
 
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	node := fs.String("node", "0.25", "technology node")
+	node := fs.String("node", ntrs.DefaultNode, "technology node")
 	level := fs.Int("level", 5, "metallization level")
 	j0 := fs.Float64("j0", 0.6, "EM design-rule current density, MA/cm²")
 	points := fs.Int("points", 13, "sweep points across r = 1e-4 … 1")
@@ -154,7 +154,7 @@ func cmdSweep(args []string) error {
 
 func cmdRepeater(args []string) error {
 	fs := flag.NewFlagSet("repeater", flag.ExitOnError)
-	node := fs.String("node", "0.25", "technology node")
+	node := fs.String("node", ntrs.DefaultNode, "technology node")
 	level := fs.Int("level", 0, "metallization level (0 = all routing tiers)")
 	gap := fs.String("gap", "", "gap-fill dielectric")
 	length := fs.Float64("len", 0, "override line length, mm (0 = lopt)")
@@ -332,7 +332,7 @@ func cmdTech(args []string) error {
 
 func cmdDeck(args []string) error {
 	fs := flag.NewFlagSet("deck", flag.ExitOnError)
-	node := fs.String("node", "0.25", "technology node")
+	node := fs.String("node", ntrs.DefaultNode, "technology node")
 	j0 := fs.Float64("j0", 1.8, "EM design-rule current density, MA/cm²")
 	gap := fs.String("gap", "", "gap-fill dielectric")
 	metal := fs.String("metal", "", "interconnect metal")

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	node := flag.String("node", "0.25", "technology node (0.25 or 0.10)")
+	node := flag.String("node", ntrs.DefaultNode, "technology node (0.25 or 0.10)")
 	level := flag.Int("level", 0, "metallization level (0 = top)")
 	gap := flag.String("gap", "", "gap-fill dielectric (oxide, HSQ, polyimide, k2.0)")
 	samples := flag.Int("samples", 48, "waveform samples to print")

@@ -370,7 +370,7 @@ func newSweepTask(params json.RawMessage) (Task, error) {
 	}
 	node := p.Node
 	if node == "" {
-		node = "0.25"
+		node = ntrs.DefaultNode
 	}
 	return &sweepTask{
 		axis: axis,

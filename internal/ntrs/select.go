@@ -6,6 +6,10 @@ import (
 	"dsmtherm/internal/material"
 )
 
+// DefaultNode is the node an omitted name selects: 0.25 µm, in the
+// spelling requests, jobs and the command-line tools echo and key by.
+const DefaultNode = "0.25"
+
 // node is one accepted node name: its constructor and level count.
 type node struct {
 	build  func() *Technology
@@ -21,7 +25,7 @@ var nodes = func() map[string]node {
 		names []string
 		build func() *Technology
 	}{
-		{[]string{"", "0.25", "250"}, N250},
+		{[]string{"", DefaultNode, "250"}, N250},
 		{[]string{"0.10", "0.1", "100"}, N100},
 	} {
 		levels := n.build().NumLevels()

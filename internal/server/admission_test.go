@@ -302,7 +302,7 @@ func TestQueueWaitClampOverHTTP(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Errorf("rejection took %v — waited past the 150ms endpoint deadline budget", elapsed)
 	}
-	if got := s.Metrics().RejectedQueueWait.Load(); got == 0 {
+	if got := s.metrics.RejectedQueueWait.Load(); got == 0 {
 		t.Error("RejectedQueueWait never advanced")
 	}
 }

@@ -106,8 +106,8 @@ func BenchmarkServerRulesThunderingHerd(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(s.Metrics().Solves.Load())/float64(b.N), "solves/herd")
-	b.ReportMetric(float64(s.Flights().Coalesced())/float64(b.N), "coalesced/herd")
+	b.ReportMetric(float64(s.metrics.Solves.Load())/float64(b.N), "solves/herd")
+	b.ReportMetric(float64(s.flights.Coalesced())/float64(b.N), "coalesced/herd")
 }
 
 // BenchmarkBatchVsSerial compares 24 rules queries (8 unique, each
@@ -219,7 +219,7 @@ func BenchmarkWarmStartVsCold(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := New(Config{Workers: 4, CacheEntries: 1024, SnapshotPath: snap})
-			for s.Loading() {
+			for s.loading.Load() {
 				time.Sleep(50 * time.Microsecond)
 			}
 			ts := httptest.NewServer(s.Handler())
@@ -256,7 +256,7 @@ func BenchmarkQuarantineHit(b *testing.B) {
 	if key == "" {
 		b.Fatal("no solve key found to embargo")
 	}
-	if !s.Quarantine().RecordFailure(key) {
+	if !s.quarantine.RecordFailure(key) {
 		b.Fatal("threshold-1 failure did not embargo")
 	}
 	// The cache would answer before the gate; drop it so the request

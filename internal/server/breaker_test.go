@@ -7,37 +7,78 @@ import (
 	"testing"
 	"time"
 
+	"dsmtherm/internal/chipcheck"
 	"dsmtherm/internal/core"
+	"dsmtherm/internal/em"
+	"dsmtherm/internal/fdm"
+	"dsmtherm/internal/jobs"
+	"dsmtherm/internal/lifetime"
+	"dsmtherm/internal/mathx"
+	"dsmtherm/internal/netcheck"
+	"dsmtherm/internal/powergrid"
 	"dsmtherm/internal/rules"
+	"dsmtherm/internal/thermal"
 )
 
 // TestFailureClassTaxonomy pins which errors the resilience layer
-// counts. Getting this wrong in either direction is dangerous: counting
-// deterministic answers (no-solution verdicts, validation errors) trips
-// the breaker on ordinary traffic; missing panics lets a crashing
-// solver serve 500s forever without containment.
+// counts and which outcomes the result cache keeps, one row per case of
+// classify. Getting this wrong in either direction is dangerous:
+// counting deterministic answers (no-solution verdicts, validation
+// errors) trips the breaker on ordinary traffic; missing panics lets a
+// crashing solver serve 500s forever without containment; caching a
+// transient failure serves it as truth.
 func TestFailureClassTaxonomy(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("x: %w", err) }
 	cases := []struct {
-		name string
-		err  error
-		want string
+		err       error
+		code      string
+		class     string
+		cacheable bool
 	}{
-		{"nil", nil, ""},
-		{"noSolution", fmt.Errorf("solve: %w", core.ErrNoSolution), ""},
-		{"coreInvalid", fmt.Errorf("x: %w", core.ErrInvalid), ""},
-		{"rulesInvalid", fmt.Errorf("x: %w", rules.ErrInvalid), ""},
-		{"badRequest", badRequestf("nope"), ""},
-		{"canceled", context.Canceled, ""},
-		{"deadline", fmt.Errorf("x: %w", context.DeadlineExceeded), ""},
-		{"quarantined", ErrQuarantined, ""},
-		{"breakerOpen", ErrBreakerOpen, ""},
-		{"panic", &panicError{site: "pool.task", value: "boom"}, failureClassPanic},
-		{"unknown", errors.New("disk on fire"), failureClassInternal},
+		{badRequestf("nope"), "invalid_request", "", true},
+		{wrap(core.ErrInvalid), "invalid_request", "", true},
+		{wrap(rules.ErrInvalid), "invalid_request", "", true},
+		{wrap(netcheck.ErrInvalid), "invalid_request", "", true},
+		{wrap(thermal.ErrInvalid), "invalid_request", "", true},
+		{wrap(chipcheck.ErrInvalid), "invalid_request", "", true},
+		{wrap(powergrid.ErrInvalid), "invalid_request", "", true},
+		{wrap(em.ErrInvalid), "invalid_request", "", true},
+		{wrap(lifetime.ErrInvalid), "invalid_request", "", true},
+		{wrap(fdm.ErrInvalid), "invalid_request", "", true},
+		{wrap(jobs.ErrInvalid), "invalid_request", "", true},
+		{wrap(jobs.ErrUnknownType), "invalid_request", "", true},
+		{ErrJobsDisabled, "jobs_disabled", "", false},
+		{wrap(jobs.ErrNotFound), "not_found", "", false},
+		{wrap(jobs.ErrNotDone), "not_done", "", false},
+		{wrap(jobs.ErrTerminal), "terminal", "", false},
+		{wrap(jobs.ErrFailed), "job_failed", "", false},
+		{wrap(jobs.ErrQueueFull), "queue_full", "", false},
+		{wrap(jobs.ErrStopped), "draining", "", false},
+		{wrap(core.ErrNoSolution), "no_solution", "", true},
+		{wrap(mathx.ErrNumeric), "numeric_failure", failureClassInternal, false},
+		{ErrQuarantined, "quarantined", "", false},
+		{ErrQueueFull, "queue_full", "", false},
+		{ErrQueueWait, "overloaded", "", false},
+		{ErrBreakerOpen, "breaker_open", "", false},
+		{ErrDraining, "draining", "", false},
+		{wrap(context.DeadlineExceeded), "timeout", "", false},
+		{context.Canceled, "canceled", "", false},
+		{&panicError{site: "pool.task", value: "boom"}, "internal", failureClassPanic, false},
+		{errors.New("disk on fire"), "internal", failureClassInternal, false},
 	}
 	for _, tc := range cases {
-		if got := failureClass(tc.err); got != tc.want {
-			t.Errorf("failureClass(%s) = %q, want %q", tc.name, got, tc.want)
+		if _, code := classify(tc.err); code != tc.code {
+			t.Errorf("classify(%v) = %q, want %q", tc.err, code, tc.code)
 		}
+		if got := failureClass(tc.err); got != tc.class {
+			t.Errorf("failureClass(%v) = %q, want %q", tc.err, got, tc.class)
+		}
+		if got := cacheableOutcome(tc.err); got != tc.cacheable {
+			t.Errorf("cacheableOutcome(%v) = %v, want %v", tc.err, got, tc.cacheable)
+		}
+	}
+	if failureClass(nil) != "" || !cacheableOutcome(nil) {
+		t.Error("a success must count as no failure and be cacheable")
 	}
 }
 

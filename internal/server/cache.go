@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -10,31 +9,32 @@ import (
 	"dsmtherm/internal/faultinject"
 )
 
-// Cache is a sharded, size-bounded LRU keyed on canonicalized solve
-// inputs. Deck generation and core.Solve are deterministic functions of
-// their inputs, so a hit can skip the nonlinear solve (or a whole deck
-// build) entirely; sharding keeps lock contention off the serving path
-// when many requests land on different keys at once.
+// Cache is a sharded, cost-bounded LRU store. The result cache is one,
+// keyed on canonicalized solve inputs: deck generation and core.Solve
+// are deterministic functions of their inputs, so a hit can skip the
+// nonlinear solve (or a whole deck build) entirely; sharding keeps lock
+// contention off the serving path when many requests land on different
+// keys at once. The chipcheck operator store is another, one shard
+// charged each operator's bytes.
 type Cache struct {
 	shards []*cacheShard
+	// cost charges a value against its shard's budget; nil charges 1.
+	cost   func(val any) int
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	evicts atomic.Uint64
 }
 
-// cacheShards is the fixed shard count; a power of two so the hash can
-// mask instead of mod.
+// cacheShards is the result cache's shard count; a power of two so the
+// hash can mask instead of mod.
 const cacheShards = 16
 
 type cacheShard struct {
-	mu  sync.Mutex
-	cap int
-	lru *list.List // front = most recent
-	m   map[string]*list.Element
+	mu      sync.Mutex
+	entries lru[cacheEntry]
 }
 
 type cacheEntry struct {
-	key string
 	val any
 	// at is when the value was stored (insert or refresh). The breaker's
 	// stale-while-revalidate policy uses it to mark hits served past the
@@ -42,22 +42,22 @@ type cacheEntry struct {
 	at time.Time
 }
 
-// NewCache builds a cache bounded to capacity entries in total (rounded
-// up to the shard count). capacity <= 0 disables caching: Get always
-// misses and Add drops.
+// NewCache builds a result cache bounded to capacity entries in total
+// (rounded up to the shard count). capacity <= 0 disables caching: Get
+// always misses and Add drops.
 func NewCache(capacity int) *Cache {
-	c := &Cache{}
 	if capacity <= 0 {
-		return c
+		return &Cache{}
 	}
-	per := (capacity + cacheShards - 1) / cacheShards
-	c.shards = make([]*cacheShard, cacheShards)
+	return newStore(cacheShards, (capacity+cacheShards-1)/cacheShards, nil)
+}
+
+// newStore builds a store of shards (a power of two) LRUs, each with
+// its own budget, charging values by cost (nil charges 1).
+func newStore(shards, budget int, cost func(val any) int) *Cache {
+	c := &Cache{shards: make([]*cacheShard, shards), cost: cost}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			cap: per,
-			lru: list.New(),
-			m:   make(map[string]*list.Element),
-		}
+		c.shards[i] = &cacheShard{entries: newLRU(budget, func(cacheEntry) { c.evicts.Add(1) })}
 	}
 	return c
 }
@@ -74,7 +74,7 @@ func fnv1a(key string) uint64 {
 }
 
 func (c *Cache) shard(key string) *cacheShard {
-	return c.shards[fnv1a(key)&(cacheShards-1)]
+	return c.shards[fnv1a(key)&uint64(len(c.shards)-1)]
 }
 
 // Get returns the cached value for key, promoting it to most-recent.
@@ -108,37 +108,28 @@ func (c *Cache) lookup(key string) (any, time.Time, bool) {
 	// hook here makes every Get/Add on this shard queue behind us, which
 	// is how the chaos suite manufactures cache-shard contention.
 	_ = faultinject.Inject(context.Background(), faultinject.SiteCacheShard)
-	el, ok := s.m[key]
+	e, ok := s.entries.get(key)
 	if !ok {
 		return nil, time.Time{}, false
 	}
-	s.lru.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.val, e.at, true
+	return e.val.val, e.val.at, true
 }
 
-// Add inserts (or refreshes) a key, evicting the least-recent entry of
-// the key's shard when the shard is full.
+// Add inserts (or refreshes) a key, evicting the least-recent entries
+// of the key's shard until its charge fits the shard's budget. A value
+// that alone costs more than the budget is not kept.
 func (c *Cache) Add(key string, val any) {
 	if len(c.shards) == 0 {
 		return
 	}
+	cost := 1
+	if c.cost != nil {
+		cost = c.cost(val)
+	}
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.m[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.val, e.at = val, time.Now()
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.m[key] = s.lru.PushFront(&cacheEntry{key: key, val: val, at: time.Now()})
-	if s.lru.Len() > s.cap {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.m, oldest.Value.(*cacheEntry).key)
-		c.evicts.Add(1)
-	}
+	s.entries.add(key, cacheEntry{val: val, at: time.Now()}, cost)
 }
 
 // Range calls fn for every entry, holding one shard's lock at a time;
@@ -148,9 +139,9 @@ func (c *Cache) Add(key string, val any) {
 func (c *Cache) Range(fn func(key string, val any) bool) {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			if !fn(e.key, e.val) {
+		for el := s.entries.ll.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*lruEntry[cacheEntry])
+			if !fn(e.key, e.val.val) {
 				s.mu.Unlock()
 				return
 			}
@@ -159,24 +150,33 @@ func (c *Cache) Range(fn func(key string, val any) bool) {
 	}
 }
 
-// Len returns the total entry count across shards.
-func (c *Cache) Len() int {
+// sum adds f over the shards, each read under its lock.
+func (c *Cache) sum(f func(l *lru[cacheEntry]) int) int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += f(&s.entries)
 		s.mu.Unlock()
 	}
 	return n
 }
 
-// Capacity returns the total bound (0 when disabled).
-func (c *Cache) Capacity() int {
-	n := 0
+// Len returns the total entry count across shards.
+func (c *Cache) Len() int { return c.sum(func(l *lru[cacheEntry]) int { return l.ll.Len() }) }
+
+// Capacity returns the total budget (0 when disabled).
+func (c *Cache) Capacity() int { return c.sum(func(l *lru[cacheEntry]) int { return l.budget }) }
+
+// Cost returns the total charge of the entries kept.
+func (c *Cache) Cost() int { return c.sum(func(l *lru[cacheEntry]) int { return l.cost }) }
+
+// clear empties every shard.
+func (c *Cache) clear() {
 	for _, s := range c.shards {
-		n += s.cap
+		s.mu.Lock()
+		s.entries.clear()
+		s.mu.Unlock()
 	}
-	return n
 }
 
 // CacheStats is the cache section of the /metrics document. The flight

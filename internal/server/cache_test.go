@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
+
+	"dsmtherm/internal/chipcheck"
 )
 
 func TestCacheHitMissEvict(t *testing.T) {
@@ -153,15 +155,14 @@ func TestCacheEvictionCountExact(t *testing.T) {
 	}
 }
 
-// TestQuarantinePressureSparesCache pins the satellite invariant: the
-// quarantine's failure memory is bounded separately from the result
-// cache, so a flood of distinct poisoned keys can never push positive
-// results out. (The negative records live in the Quarantine, not in the
-// solve cache — this test proves the two stores do not share bounds.)
+// TestQuarantinePressureSparesCache pins that the server's three
+// stores share an LRU but no bound: a flood of distinct poisoned keys
+// can never push results out, operator churn evicts no result, and a
+// flood of results evicts no operator.
 func TestQuarantinePressureSparesCache(t *testing.T) {
 	const qBound = 32
-	cache := NewCache(4 * cacheShards)
-	q := NewQuarantine(3, time.Minute, time.Minute, qBound)
+	s := New(Config{Workers: 2, CacheEntries: 4 * cacheShards, QuarantineEntries: qBound})
+	cache, q := s.cache, s.quarantine
 
 	// A healthy working set fills the cache.
 	var resident []string
@@ -172,24 +173,67 @@ func TestQuarantinePressureSparesCache(t *testing.T) {
 	}
 	baseLen := cache.Len()
 	baseEvicts := cache.Stats().Evictions
+	spared := func(what string) {
+		t.Helper()
+		if got := cache.Len(); got != baseLen {
+			t.Errorf("cache length moved under %s: %d -> %d", what, baseLen, got)
+		}
+		if got := cache.Stats().Evictions; got != baseEvicts {
+			t.Errorf("%s evicted from the result cache: %d -> %d", what, baseEvicts, got)
+		}
+		for _, k := range resident {
+			if _, _, ok := cache.lookup(k); !ok {
+				t.Fatalf("positive result %s evicted by %s", k, what)
+			}
+		}
+	}
 
 	// A flood of distinct failing keys — 100× the quarantine bound.
 	for i := 0; i < 100*qBound; i++ {
 		q.RecordFailure(fmt.Sprintf("poison-%d", i))
 	}
-
 	if got := q.Tracked(); got > qBound {
 		t.Errorf("quarantine tracked %d records, bound %d", got, qBound)
 	}
-	if got := cache.Len(); got != baseLen {
-		t.Errorf("cache length moved under quarantine pressure: %d -> %d", baseLen, got)
+	spared("quarantine pressure")
+
+	// Operator churn: six geometries through a store that holds two.
+	var checks []*chipcheck.Check
+	for i := 0; i < 6; i++ {
+		p := chipParams()
+		p.Nx = 10 + i
+		c, err := chipcheck.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks = append(checks, c)
 	}
-	if got := cache.Stats().Evictions; got != baseEvicts {
-		t.Errorf("quarantine pressure evicted from the result cache: %d -> %d", baseEvicts, got)
+	big, err := checks[5].NewOperator()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range resident {
-		if _, ok := cache.Get(k); !ok {
-			t.Fatalf("positive result %s evicted by negative-cache pressure", k)
+	s.operators = newStore(1, 2*big.Bytes(), operatorCost)
+	for _, c := range checks {
+		if _, err := s.operator(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.operators.Len() != 2 {
+		t.Fatalf("the operator store keeps %d operators, want 2", s.operators.Len())
+	}
+	spared("operator churn")
+
+	// A flood of results — 10× the cache's capacity — evicts no operator.
+	kept := s.operators.Cost()
+	for i := 0; i < 10*cache.Capacity(); i++ {
+		cache.Add(fmt.Sprintf("flood-%d", i), i)
+	}
+	if got := s.operators.Cost(); got != kept {
+		t.Errorf("a result flood moved the operator store from %d to %d bytes", kept, got)
+	}
+	for _, c := range checks[4:] {
+		if _, _, ok := s.operators.lookup(operatorKey(c)); !ok {
+			t.Errorf("operator of a %d-wide grid evicted by a result flood", c.Grid.Nx)
 		}
 	}
 }

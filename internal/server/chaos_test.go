@@ -243,13 +243,13 @@ func waitQuiescent(t *testing.T, s *Server, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for {
 		if s.Pool().InUse() == 0 && s.Admission().InUse() == 0 && s.Admission().Waiting() == 0 &&
-			s.Flights().Active() == 0 && s.Flights().Waiting() == 0 {
+			s.flights.Active() == 0 && s.flights.Waiting() == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("server did not quiesce: pool=%d admission=%d waiting=%d flights=%d flightWaiters=%d",
 				s.Pool().InUse(), s.Admission().InUse(), s.Admission().Waiting(),
-				s.Flights().Active(), s.Flights().Waiting())
+				s.flights.Active(), s.flights.Waiting())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -305,10 +305,10 @@ func TestChaosCoalescerThunderingHerd(t *testing.T) {
 	// The leader is stalled inside its solve; everyone else must end up
 	// blocked on its flight.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Flights().Waiting() != herd-1 {
+	for s.flights.Waiting() != herd-1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("herd never converged on one flight: waiting=%d active=%d",
-				s.Flights().Waiting(), s.Flights().Active())
+				s.flights.Waiting(), s.flights.Active())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -343,10 +343,10 @@ func TestChaosCoalescerThunderingHerd(t *testing.T) {
 	}
 
 	// One solve, one deck row, for the whole herd.
-	if got := s.Metrics().Solves.Load(); got != 1 {
+	if got := s.metrics.Solves.Load(); got != 1 {
 		t.Errorf("herd of %d performed %d solves, want exactly 1", herd, got)
 	}
-	if got := s.Metrics().DecksBuilt.Load(); got != 1 {
+	if got := s.metrics.DecksBuilt.Load(); got != 1 {
 		t.Errorf("herd of %d built %d deck rows, want exactly 1", herd, got)
 	}
 
@@ -408,7 +408,7 @@ func TestFlightLeaderRechecksCache(t *testing.T) {
 	if rr.Rule != levelRuleJSON(row) {
 		t.Errorf("rule = %+v, want the cached row %+v", rr.Rule, levelRuleJSON(row))
 	}
-	if got := s.Metrics().DecksBuilt.Load(); got != 0 {
+	if got := s.metrics.DecksBuilt.Load(); got != 0 {
 		t.Errorf("leader built %d deck rows over a cached one, want 0", got)
 	}
 	// The request looked up its solve and rule keys once each; the
@@ -495,9 +495,9 @@ func TestChaosCoalescerLeaderCancelled(t *testing.T) {
 		}()
 	}
 	deadline = time.Now().Add(5 * time.Second)
-	for s.Flights().Waiting() != 2 {
+	for s.flights.Waiting() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("waiters never joined the leader's flight: waiting=%d", s.Flights().Waiting())
+			t.Fatalf("waiters never joined the leader's flight: waiting=%d", s.flights.Waiting())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -524,10 +524,10 @@ func TestChaosCoalescerLeaderCancelled(t *testing.T) {
 	// The dead leader never solved (its flight failed at the injection
 	// site); promotion solved once — twice only if the second waiter's
 	// retry raced past the promoted flight's settlement.
-	if got := s.Metrics().Solves.Load(); got < 1 || got > 2 {
+	if got := s.metrics.Solves.Load(); got < 1 || got > 2 {
 		t.Errorf("solves = %d, want 1 (or 2 on a re-lead race)", got)
 	}
-	if got := s.Flights().Led(); got < 2 {
+	if got := s.flights.Led(); got < 2 {
 		t.Errorf("Led() = %d, want >= 2 (dead leader + promoted waiter)", got)
 	}
 	waitQuiescent(t, s, 5*time.Second)
@@ -675,7 +675,7 @@ func TestChaosStalledSolveDoesNotBlockUngatedRoutes(t *testing.T) {
 	if !saw429 {
 		t.Error("overflowing the wait-queue never produced a 429")
 	}
-	if got := s.Metrics().RejectedQueueFull.Load(); got == 0 {
+	if got := s.metrics.RejectedQueueFull.Load(); got == 0 {
 		t.Error("RejectedQueueFull counter did not advance")
 	}
 
@@ -798,17 +798,17 @@ func TestChaosPoisonKeyQuarantine(t *testing.T) {
 	// the threshold, give or take gate/record races (a request that
 	// passed the quarantine check before the embargo was recorded may
 	// still lead one extra flight).
-	panics := s.Metrics().Panics.Load()
+	panics := s.metrics.Panics.Load()
 	if panics < quarantineAfter {
 		t.Errorf("panics = %d, want >= %d (the quarantine needs real failures to trip)", panics, quarantineAfter)
 	}
 	if panics > quarantineAfter+8 {
 		t.Errorf("panics = %d: quarantine let far more than %d failures through", panics, quarantineAfter)
 	}
-	if got := s.Quarantine().Quarantined(); got != 1 {
+	if got := s.quarantine.Quarantined(); got != 1 {
 		t.Errorf("Quarantined = %d, want exactly 1 (one poison key)", got)
 	}
-	if got := s.Quarantine().Hits(); got == 0 {
+	if got := s.quarantine.Hits(); got == 0 {
 		t.Error("quarantine Hits never advanced")
 	}
 
@@ -879,7 +879,7 @@ func TestChaosBreakerDegradedServing(t *testing.T) {
 			t.Fatalf("storm request %d: status %d, want 500", i, status)
 		}
 	}
-	if !s.Breaker().Degraded() {
+	if !s.breaker.Degraded() {
 		t.Fatal("three internal failures did not trip the breaker")
 	}
 
@@ -896,7 +896,7 @@ func TestChaosBreakerDegradedServing(t *testing.T) {
 	if !rr.Cached || !rr.Stale {
 		t.Errorf("degraded warm hit: cached=%v stale=%v, want true/true", rr.Cached, rr.Stale)
 	}
-	if s.Metrics().StaleServed.Load() == 0 {
+	if s.metrics.StaleServed.Load() == 0 {
 		t.Error("StaleServed never advanced")
 	}
 
@@ -918,7 +918,7 @@ func TestChaosBreakerDegradedServing(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("open-breaker 503 missing Retry-After")
 	}
-	if s.Breaker().ShortCircuits() == 0 {
+	if s.breaker.ShortCircuits() == 0 {
 		t.Error("ShortCircuits never advanced")
 	}
 
@@ -931,10 +931,10 @@ func TestChaosBreakerDegradedServing(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("probe request failed: %d %s", status, b)
 	}
-	if s.Breaker().Degraded() {
+	if s.breaker.Degraded() {
 		t.Error("probe success did not reclose the breaker")
 	}
-	if s.Breaker().Reclosed() == 0 {
+	if s.breaker.Reclosed() == 0 {
 		t.Error("Reclosed never advanced")
 	}
 	// Healthy again: fresh hits are no longer marked stale.

@@ -14,7 +14,8 @@ import (
 // core.ErrNoSolution outcomes count as noSolution (thermal runaway);
 // other solver errors land in the invalid bucket.
 func TestObserveSolveClassifiesErrors(t *testing.T) {
-	m := NewMetrics()
+	s := New(Config{})
+	m := s.metrics
 	m.ObserveSolve(time.Millisecond, nil)
 	m.ObserveSolve(time.Millisecond, fmt.Errorf("solve: %w", core.ErrNoSolution))
 	m.ObserveSolve(time.Millisecond, fmt.Errorf("solve: %w", core.ErrInvalid))
@@ -27,7 +28,7 @@ func TestObserveSolveClassifiesErrors(t *testing.T) {
 	if got := m.SolveInvalid.Load(); got != 1 {
 		t.Errorf("invalid = %d, want 1", got)
 	}
-	snap := m.SnapshotNow(nil, nil, nil, nil, nil, nil, nil)
+	snap := s.snapshot()
 	if snap.Solver.NoSolution != 1 || snap.Solver.Invalid != 1 {
 		t.Errorf("snapshot misreports: %+v", snap.Solver)
 	}

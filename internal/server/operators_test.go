@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dsmtherm/internal/chipcheck"
+	"dsmtherm/internal/faultinject"
 )
 
 // chipParams is a 12×12 grid fed by its pad ring and one centre pad.
@@ -27,16 +31,11 @@ func fptr(v float64) *float64 { return &v }
 // its 200 reply.
 func postChip(t *testing.T, h http.Handler, p chipcheck.Params) []byte {
 	t.Helper()
-	body, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
+	sh := postChipRaw(h, p)
+	if sh.status != http.StatusOK {
+		t.Fatalf("status %d: %s", sh.status, sh.body)
 	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/chipcheck", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
-	}
-	return rec.Body.Bytes()
+	return sh.body
 }
 
 // coldReply is the reply the route owes p: Compile, Solve on a private
@@ -160,19 +159,15 @@ func TestChipcheckOperatorConcurrent(t *testing.T) {
 		ps[i].Loads = []chipcheck.LoadSpec{{I: 2 + i, J: 9 - i, Amps: 0.2 + 0.03*float64(i)}}
 		want[i] = coldReply(t, ps[i])
 	}
-	got := make([][]byte, len(ps))
+	got := make([]chipShot, len(ps))
 	var wg sync.WaitGroup
 	for i := range ps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = postChip(t, h, ps[i])
-		}()
+		postChipAsync(h, ps[i], &wg, &got[i])
 	}
 	wg.Wait()
 	for i := range ps {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("request %d: reply differs from its cold solve:\n%s\nwant\n%s", i, got[i], want[i])
+		if got[i].status != http.StatusOK || !bytes.Equal(got[i].body, want[i]) {
+			t.Errorf("request %d: status %d, reply differs from its cold solve:\n%s\nwant\n%s", i, got[i].status, got[i].body, want[i])
 		}
 	}
 	if c := operatorCounts(t, h); c.OperatorBuilds != 1 || c.OperatorHits != uint64(len(ps)) {
@@ -203,7 +198,7 @@ func TestChipcheckOperatorBudget(t *testing.T) {
 	fit := chipOperatorBudget / op.Bytes()
 	for i := 0; i <= fit; i++ {
 		postChip(t, h, medium(200+float64(i)))
-		if b := s.metrics.ChipOperatorBytes.Load(); b > chipOperatorBudget {
+		if b := operatorCounts(t, h).OperatorBytes; b > chipOperatorBudget {
 			t.Fatalf("after %d geometries the store retains %d bytes, over its %d budget", i+1, b, chipOperatorBudget)
 		}
 	}
@@ -212,25 +207,31 @@ func TestChipcheckOperatorBudget(t *testing.T) {
 		t.Fatalf("%d builds, want %d (the first geometry rebuilt after eviction)", got, fit+2)
 	}
 
-	s.operators = newOperatorStore(op.Bytes()-1, s.metrics)
+	// A store smaller than one medium operator keeps a small one, and
+	// refuses the medium one without evicting the small one for it.
+	s.operators = newStore(1, op.Bytes()-1, operatorCost)
+	postChip(t, h, chipParams())
 	for i := 0; i < 2; i++ {
 		if got, want := postChip(t, h, medium(200)), coldReply(t, medium(200)); !bytes.Equal(got, want) {
 			t.Fatalf("reply differs from its cold solve")
 		}
 	}
-	if got := s.metrics.ChipOperatorBuilds.Load(); got != uint64(fit+4) {
-		t.Fatalf("%d builds, want %d: an operator over budget must not be kept", got, fit+4)
+	if got := s.metrics.ChipOperatorBuilds.Load(); got != uint64(fit+5) {
+		t.Fatalf("%d builds, want %d: an operator over budget must not be kept", got, fit+5)
 	}
-	if n := len(s.operators.byKey); n != 0 {
-		t.Fatalf("the store keeps %d operators over its budget", n)
+	small, err := chipcheck.Compile(chipParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, kept := s.operators.lookup(operatorKey(small)); !kept || s.operators.Len() != 1 {
+		t.Fatalf("the store keeps %d operators (the small one: %v), want only the small one", s.operators.Len(), kept)
 	}
 }
 
 // TestOperatorStoreLRU: the store evicts the least recently used
 // operator, not the oldest, and its gauge reads what it retains.
 func TestOperatorStoreLRU(t *testing.T) {
-	m := NewMetrics()
-	var ops []*chipcheck.Check
+	var checks []*chipcheck.Check
 	for i := 0; i < 3; i++ {
 		p := chipParams()
 		p.Nx = 10 + i
@@ -238,10 +239,10 @@ func TestOperatorStoreLRU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops = append(ops, c)
+		checks = append(checks, c)
 	}
-	sizes := make([]int, len(ops))
-	for i, c := range ops {
+	sizes := make([]int, len(checks))
+	for i, c := range checks {
 		op, err := c.NewOperator()
 		if err != nil {
 			t.Fatal(err)
@@ -250,9 +251,10 @@ func TestOperatorStoreLRU(t *testing.T) {
 	}
 	// Room for the first and the third (the largest): keeping the third
 	// evicts the second once the first has been used since.
-	st := newOperatorStore(sizes[0]+sizes[2], m)
+	s := New(Config{Workers: 2})
+	s.operators = newStore(1, sizes[0]+sizes[2], operatorCost)
 	get := func(i int) {
-		if _, err := st.get(ops[i]); err != nil {
+		if _, err := s.operator(context.Background(), checks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,16 +262,14 @@ func TestOperatorStoreLRU(t *testing.T) {
 	get(1)
 	get(0) // 1 is now the least recently used
 	get(2)
+	c := operatorCounts(t, s.Handler())
+	if c.OperatorBytes != int64(sizes[0]+sizes[2]) || c.OperatorBuilds != 3 || c.OperatorHits != 1 {
+		t.Fatalf("%+v, want %d bytes retained, 3 builds and 1 hit", c, sizes[0]+sizes[2])
+	}
 	for i, want := range []bool{true, false, true} {
-		if _, kept := st.byKey[ops[i].Key()]; kept != want {
+		if _, _, kept := s.operators.lookup(operatorKey(checks[i])); kept != want {
 			t.Errorf("operator %d kept = %v, want %v", i, kept, want)
 		}
-	}
-	if st.bytes != sizes[0]+sizes[2] || int64(st.bytes) != m.ChipOperatorBytes.Load() {
-		t.Fatalf("retained %d bytes (gauge %d), want %d", st.bytes, m.ChipOperatorBytes.Load(), sizes[0]+sizes[2])
-	}
-	if b, h := m.ChipOperatorBuilds.Load(), m.ChipOperatorHits.Load(); b != 3 || h != 1 {
-		t.Fatalf("%d builds and %d hits, want 3 and 1", b, h)
 	}
 }
 
@@ -294,14 +294,181 @@ func TestRunReleasesOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || s.metrics.ChipOperatorBytes.Load() == 0 {
-		t.Fatalf("status %d, %d operator bytes kept", resp.StatusCode, s.metrics.ChipOperatorBytes.Load())
+	if resp.StatusCode != http.StatusOK || s.operators.Cost() == 0 {
+		t.Fatalf("status %d, %d operator bytes kept", resp.StatusCode, s.operators.Cost())
 	}
 	cancel()
 	if err := <-runDone; err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if n, b := len(s.operators.byKey), s.metrics.ChipOperatorBytes.Load(); n != 0 || b != 0 {
+	if n, b := s.operators.Len(), operatorCounts(t, s.Handler()).OperatorBytes; n != 0 || b != 0 {
 		t.Fatalf("a stopped server keeps %d operators (%d bytes)", n, b)
+	}
+}
+
+// chipShot is one concurrent /v1/chipcheck reply.
+type chipShot struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// postChipAsync posts p through h on its own goroutine.
+func postChipAsync(h http.Handler, p chipcheck.Params, wg *sync.WaitGroup, out *chipShot) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		*out = postChipRaw(h, p)
+	}()
+}
+
+// postChipRaw posts p through h and returns the reply, whatever its
+// status.
+func postChipRaw(h http.Handler, p chipcheck.Params) chipShot {
+	body, _ := json.Marshal(p)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/chipcheck", bytes.NewReader(body)))
+	return chipShot{rec.Code, rec.Header(), rec.Body.Bytes()}
+}
+
+// postRules posts a rules query through h.
+func postRules(h http.Handler, body string) (int, []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/rules", strings.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// isOperatorKey matches the flight metadata of an operator build.
+func isOperatorKey(meta string) bool { return strings.HasPrefix(meta, "chip|") }
+
+// TestChipcheckOperatorCoalesces: concurrent first requests on one
+// geometry build one operator. The leader's build is held open until
+// every other request waits on its flight, as the thundering-herd test
+// holds its solve, so no request can be answered early from the store.
+func TestChipcheckOperatorCoalesces(t *testing.T) {
+	const herd = 4
+	s := New(Config{Workers: herd, AdmitConcurrent: 2 * herd})
+	h := s.Handler()
+	p := chipParams()
+	want := coldReply(t, p)
+
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unstall := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unstall()
+	stall := faultinject.Stall(release)
+	t.Cleanup(faultinject.Set(faultinject.SiteServerFlight, func(ctx context.Context) error {
+		if isOperatorKey(faultinject.Meta(ctx)) {
+			return stall(ctx)
+		}
+		return nil
+	}))
+
+	shots := make([]chipShot, herd)
+	var wg sync.WaitGroup
+	for i := range shots {
+		postChipAsync(h, p, &wg, &shots[i])
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.flights.Waiting() != herd-1 {
+		if time.Now().After(deadline) {
+			unstall()
+			wg.Wait()
+			t.Fatalf("%d concurrent first requests never met on one flight: %d waiting, %d builds",
+				herd, s.flights.Waiting(), s.metrics.ChipOperatorBuilds.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unstall()
+	wg.Wait()
+	for i, sh := range shots {
+		if sh.status != http.StatusOK || !bytes.Equal(sh.body, want) {
+			t.Errorf("request %d: status %d, reply differs from its cold solve:\n%s", i, sh.status, sh.body)
+		}
+	}
+	if b, c := s.metrics.ChipOperatorBuilds.Load(), s.flights.Coalesced(); b != 1 || c != herd-1 {
+		t.Fatalf("%d builds and %d coalesced requests, want 1 and %d", b, c, herd-1)
+	}
+}
+
+// TestChipcheckOperatorQuarantine: a geometry whose operator build
+// panics answers a structured 500 until QuarantineThreshold builds have
+// failed, then 422 quarantined with Retry-After, while a kept geometry
+// and a rules query keep answering 200.
+func TestChipcheckOperatorQuarantine(t *testing.T) {
+	const threshold = 3
+	s := New(Config{Workers: 2, QuarantineThreshold: threshold, BreakerThreshold: 1000})
+	h := s.Handler()
+	kept := chipParams()
+	postChip(t, h, kept)
+	wantKept := coldReply(t, kept)
+	t.Cleanup(faultinject.Set(faultinject.SiteServerFlight, faultinject.PanicOnMeta(isOperatorKey, "poisoned build")))
+
+	poison := chipParams()
+	poison.Nx = 13
+	for i := 0; i < threshold+2; i++ {
+		sh := postChipRaw(h, poison)
+		wantStatus, wantCode := http.StatusInternalServerError, "internal"
+		if i >= threshold {
+			wantStatus, wantCode = http.StatusUnprocessableEntity, "quarantined"
+			if sh.header.Get("Retry-After") == "" {
+				t.Errorf("request %d: quarantined reply without Retry-After", i)
+			}
+		}
+		if sh.status != wantStatus || errorCode(t, sh.body) != wantCode {
+			t.Errorf("request %d: status %d %s, want %d %s", i, sh.status, sh.body, wantStatus, wantCode)
+		}
+		if got := postChip(t, h, kept); !bytes.Equal(got, wantKept) {
+			t.Errorf("request %d: the kept geometry's reply differs from its cold solve", i)
+		}
+		if status, body := postRules(h, `{"node":"0.25","level":5,"dutyCycle":0.1,"j0MA":1.8}`); status != http.StatusOK {
+			t.Errorf("request %d: rules query answered %d: %s", i, status, body)
+		}
+	}
+	if p, q := s.metrics.Panics.Load(), s.quarantine.Quarantined(); p != threshold || q != 1 {
+		t.Fatalf("%d panics and %d keys quarantined, want %d and 1", p, q, threshold)
+	}
+}
+
+// TestChipcheckOperatorBreakerOpen: while the breaker is open, a new
+// geometry is answered 503 breaker_open with Retry-After and a kept one
+// still serves its cold solve's bytes. An operator is not an answer, so
+// its hit is never served stale.
+func TestChipcheckOperatorBreakerOpen(t *testing.T) {
+	s := New(Config{
+		Workers: 2, BreakerThreshold: 3, BreakerWindow: time.Minute, BreakerCooldown: time.Minute,
+		BreakerStaleAfter: time.Nanosecond, QuarantineThreshold: 1000,
+	})
+	h := s.Handler()
+	kept := chipParams()
+	postChip(t, h, kept)
+	t.Cleanup(faultinject.Set(faultinject.SiteServerFlight, func(ctx context.Context) error {
+		if isOperatorKey(faultinject.Meta(ctx)) {
+			return errors.New("operator backend down")
+		}
+		return nil
+	}))
+	for i := 0; i < 3; i++ {
+		p := chipParams()
+		p.Nx = 13 + i
+		if sh := postChipRaw(h, p); sh.status != http.StatusInternalServerError {
+			t.Fatalf("storm request %d: status %d, want 500: %s", i, sh.status, sh.body)
+		}
+	}
+	if !s.breaker.Degraded() {
+		t.Fatal("three failed builds did not open the breaker")
+	}
+	fresh := chipParams()
+	fresh.Ny = 13
+	sh := postChipRaw(h, fresh)
+	if sh.status != http.StatusServiceUnavailable || errorCode(t, sh.body) != "breaker_open" || sh.header.Get("Retry-After") == "" {
+		t.Errorf("new geometry while open: status %d, Retry-After %q: %s", sh.status, sh.header.Get("Retry-After"), sh.body)
+	}
+	time.Sleep(time.Millisecond) // past the stale horizon
+	if got, want := postChip(t, h, kept), coldReply(t, kept); !bytes.Equal(got, want) {
+		t.Errorf("kept geometry while open: reply differs from its cold solve:\n%s", got)
+	}
+	if n := s.metrics.StaleServed.Load(); n != 0 {
+		t.Errorf("staleServed = %d after a chipcheck hit, want 0", n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"dsmtherm/internal/core"
+	"dsmtherm/internal/faultinject"
 )
 
 func TestPoolForEachRunsAll(t *testing.T) {
@@ -303,5 +306,57 @@ func TestPoolForEachNoTasks(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("n = 0: %v", err)
+	}
+}
+
+// TestPoolBoundsSolvesAcrossRequests: the pool, not the number of
+// admitted requests, bounds solver concurrency. On a one-slot pool two
+// admitted cold rules queries never solve at once: the second waits for
+// the slot while the first is held inside its solve.
+func TestPoolBoundsSolvesAcrossRequests(t *testing.T) {
+	s := New(Config{Workers: 1, AdmitConcurrent: 4})
+	h := s.Handler()
+	var started, inSolve, most atomic.Int64
+	s.testHookStarted = func(string) { started.Add(1) }
+	release := make(chan struct{})
+	t.Cleanup(faultinject.Set(faultinject.SiteCoreSolve, func(ctx context.Context) error {
+		n := inSolve.Add(1)
+		defer inSolve.Add(-1)
+		for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+		}
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil
+	}))
+	codes := make([]int, 2)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i], _ = postRules(h, fmt.Sprintf(`{"node":"0.25","level":%d,"dutyCycle":0.1}`, 4+i))
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for started.Load() != 2 || inSolve.Load() != 1 {
+		if time.Now().After(deadline) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("never saw both requests started and one solving: %d solving, %d at most", inSolve.Load(), most.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for the second request to reach a solve
+	close(release)
+	wg.Wait()
+	if n := most.Load(); n != 1 {
+		t.Errorf("%d solves ran at once on a one-slot pool", n)
+	}
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("request %d: status %d", i, code)
+		}
 	}
 }

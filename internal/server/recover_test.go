@@ -2,12 +2,17 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dsmtherm/internal/faultinject"
 )
 
 // TestPoolTaskPanicContained pins the pool's recovery boundary: a
@@ -40,6 +45,28 @@ func TestPoolTaskPanicContained(t *testing.T) {
 	// The pool still works after containing a panic.
 	if err := p.ForEach(context.Background(), 2, func(context.Context, int) error { return nil }); err != nil {
 		t.Fatalf("pool unusable after panic: %v", err)
+	}
+
+	// Through the handler: netcheck segments that panic on a worker the
+	// pool started would crash the process without the boundary; with
+	// it the design gets a structured 500 from the pool.task site.
+	s := New(Config{Workers: 2})
+	t.Cleanup(faultinject.Set(faultinject.SiteNetcheckSegment, faultinject.Panic("segment blew up")))
+	seg := `{"net":"n","name":"s%d","level":5,"lengthUm":3000,"waveform":{"kind":"bipolar","peakMA":1,"dutyCycle":0.12}}`
+	var segs []string
+	for i := 0; i < 4; i++ {
+		segs = append(segs, fmt.Sprintf(seg, i))
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/netcheck",
+		strings.NewReader(`{"node":"0.25","segments":[`+strings.Join(segs, ",")+`]}`)))
+	var apiErr apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || rec.Code != http.StatusInternalServerError ||
+		apiErr.Error.Site != "pool.task" {
+		t.Fatalf("panicking segments: status %d, body %s, want a 500 from pool.task", rec.Code, rec.Body.Bytes())
+	}
+	if got := s.pool.InUse(); got != 0 {
+		t.Fatalf("pool slots leaked through segment panics: InUse = %d", got)
 	}
 }
 
@@ -130,7 +157,7 @@ func TestHandlerPanicBackstop(t *testing.T) {
 	if apiErr.Error.Site != "handler:/boom" {
 		t.Errorf("error site = %q, want handler:/boom", apiErr.Error.Site)
 	}
-	if got := s.Metrics().Panics.Load(); got != 1 {
+	if got := s.metrics.Panics.Load(); got != 1 {
 		t.Errorf("Panics = %d, want 1", got)
 	}
 

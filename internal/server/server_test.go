@@ -469,7 +469,7 @@ func TestShutdownRejectsNewWorkWhileDraining(t *testing.T) {
 
 	cancel() // "SIGTERM"
 	deadline := time.Now().Add(2 * time.Second)
-	for !s.Draining() {
+	for !s.draining.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("drain flag never rose after Run ctx cancel")
 		}
@@ -495,7 +495,7 @@ func TestShutdownRejectsNewWorkWhileDraining(t *testing.T) {
 	if apiErr.Error.Code != "draining" {
 		t.Errorf("error code = %q, want \"draining\"", apiErr.Error.Code)
 	}
-	if got := s.Metrics().RejectedDraining.Load(); got == 0 {
+	if got := s.metrics.RejectedDraining.Load(); got == 0 {
 		t.Error("RejectedDraining counter did not advance")
 	}
 

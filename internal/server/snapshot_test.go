@@ -104,7 +104,7 @@ func TestSnapshotWarmRestart(t *testing.T) {
 			t.Fatalf("populate: %d %s", status, b)
 		}
 	}
-	solves1 := s1.Metrics().Solves.Load()
+	solves1 := s1.metrics.Solves.Load()
 	if solves1 == 0 {
 		t.Fatal("workload performed no solves; test is vacuous")
 	}
@@ -112,14 +112,14 @@ func TestSnapshotWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1.Close()
-	if s1.Metrics().SnapshotSaves.Load() == 0 {
+	if s1.metrics.SnapshotSaves.Load() == 0 {
 		t.Fatal("SnapshotSaves did not advance")
 	}
 
 	// Second life: boot from the snapshot, replay the same working set.
 	s2 := New(Config{Workers: 4, CacheEntries: 256, SnapshotPath: path})
 	waitLoaded(t, s2)
-	if got := s2.Metrics().SnapshotLoaded.Load(); got == 0 {
+	if got := s2.metrics.SnapshotLoaded.Load(); got == 0 {
 		t.Fatal("no entries restored from snapshot")
 	}
 	ts2 := httptest.NewServer(s2.Handler())
@@ -198,10 +198,10 @@ func TestSnapshotCorruptFileStartsCold(t *testing.T) {
 			}
 			s := New(Config{Workers: 2, CacheEntries: 64, SnapshotPath: path})
 			waitLoaded(t, s)
-			if got := s.Metrics().SnapshotLoadFailures.Load(); got != 1 {
+			if got := s.metrics.SnapshotLoadFailures.Load(); got != 1 {
 				t.Errorf("SnapshotLoadFailures = %d, want 1", got)
 			}
-			if got := s.Metrics().SnapshotLoaded.Load(); got != 0 {
+			if got := s.metrics.SnapshotLoaded.Load(); got != 0 {
 				t.Errorf("corrupt snapshot restored %d entries, want 0", got)
 			}
 			// Cold but alive.
@@ -221,7 +221,7 @@ func TestSnapshotMissingFileIsColdNotFailure(t *testing.T) {
 	s := New(Config{Workers: 2, CacheEntries: 64,
 		SnapshotPath: filepath.Join(t.TempDir(), "never-written.snap")})
 	waitLoaded(t, s)
-	if got := s.Metrics().SnapshotLoadFailures.Load(); got != 0 {
+	if got := s.metrics.SnapshotLoadFailures.Load(); got != 0 {
 		t.Errorf("missing file counted as load failure: %d", got)
 	}
 }
@@ -238,7 +238,7 @@ func TestSnapshotSkipsErrorsAndDecks(t *testing.T) {
 	if err := s.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Metrics().SnapshotSkipped.Load(); got != 2 {
+	if got := s.metrics.SnapshotSkipped.Load(); got != 2 {
 		t.Errorf("SnapshotSkipped = %d, want 2 (error outcome + deck)", got)
 	}
 	f, err := os.Open(path)
@@ -298,7 +298,7 @@ func TestSnapshotAtomicOverwrite(t *testing.T) {
 func waitLoaded(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Loading() {
+	for s.loading.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("snapshot load never finished")
 		}
